@@ -70,8 +70,6 @@ from .arch import (
     musicnn_frontend_spec,
     propagate_shapes,
     save_arch,
-    sweep_to_csv,
-    sweep_to_json,
     vgg_arch,
     vgg_pooling_plan,
 )
@@ -82,8 +80,6 @@ from .metrics import (
     macro_summary,
     pr_auc,
     roc_auc,
-    summary_to_csv,
-    summary_to_json,
     t_test_independent,
 )
 from .dataset import (

@@ -22,13 +22,12 @@ terminal global pool is appended and recorded in the trace.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
-from .mel import MSPEC_HEADER_SIZE, MelConfig, benchmark_frames, frame_count
+from .dsp import frame_count
+from .mel import MSPEC_HEADER_SIZE, MelConfig, benchmark_frames
 
 __all__ = [
     "VGG_CHANNELS",
@@ -55,8 +54,6 @@ __all__ = [
     "arch_from_dict",
     "save_arch",
     "load_arch",
-    "sweep_to_csv",
-    "sweep_to_json",
 ]
 
 ARCH_NAMES = ("vgg-cnn", "musicnn-frontend")
@@ -545,76 +542,3 @@ def load_arch(path) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return arch_from_dict(json.load(fh))
 
-
-def _format_float(value: float) -> str:
-    return f"{value:.6g}"
-
-
-def sweep_to_csv(entries: list[SweepEntry]) -> str:
-    """Render sweep entries as CSV with a fixed column order.
-
-    Columns: config identity, one column per layer, total_macs, gmacs,
-    feature_bytes, approximate (semicolon-joined layer names), error.
-    Failed rows keep their identity columns and carry the message.
-    """
-    layer_names: tuple[str, ...] = ()
-    for entry in entries:
-        if entry.report is not None:
-            layer_names = entry.report.layer_names
-            break
-    columns = (
-        ["config_id", "sample_rate", "n_mels", "hop_multiplier", "compression"]
-        + [f"macs_{name}" for name in layer_names]
-        + ["total_macs", "gmacs", "feature_bytes", "approximate", "error"]
-    )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for entry in entries:
-        config = entry.config
-        row = [
-            config.config_id,
-            str(config.sample_rate),
-            str(config.n_mels),
-            str(config.hop_multiplier),
-            config.compression,
-        ]
-        if entry.report is None:
-            row += [""] * (len(layer_names) + 4) + [entry.error or "unknown error"]
-        else:
-            report = entry.report
-            row += [str(m) for m in report.per_layer_macs]
-            row += [
-                str(report.total_macs),
-                _format_float(report.gmacs),
-                str(report.feature_bytes),
-                ";".join(report.approximate_layers),
-                "",
-            ]
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def sweep_to_json(entries: list[SweepEntry]) -> str:
-    """Render sweep entries as a JSON array (stable key order)."""
-    rows = []
-    for entry in entries:
-        config = entry.config
-        row = {
-            "config_id": config.config_id,
-            "sample_rate": config.sample_rate,
-            "n_mels": config.n_mels,
-            "hop_multiplier": config.hop_multiplier,
-            "compression": config.compression,
-        }
-        if entry.report is None:
-            row["error"] = entry.error or "unknown error"
-        else:
-            report = entry.report
-            row["per_layer_macs"] = dict(zip(report.layer_names, report.per_layer_macs))
-            row["total_macs"] = report.total_macs
-            row["gmacs"] = float(_format_float(report.gmacs))
-            row["feature_bytes"] = report.feature_bytes
-            row["approximate_layers"] = list(report.approximate_layers)
-        rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dsp
-from .arch import ARCH_NAMES, SweepEntry, grid_cost_sweep, vgg_pooling_plan
+from .arch import ARCH_NAMES, grid_cost_sweep, vgg_pooling_plan
 from .exceptions import (
     EmptySummaryError,
     MelGaugeError,
@@ -47,7 +47,7 @@ from .mel import (
     mel_spectrogram,
     write_mspec,
 )
-from .metrics import load_tag_table, macro_summary, summary_to_csv, summary_to_json
+from .metrics import load_tag_table, macro_summary
 from .reference import SOURCE_LABEL, published_for_config
 
 __all__ = ["main"]
@@ -75,18 +75,52 @@ def _write_out(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _emit(rows: list[dict], columns, args) -> None:
+    """Write rows as CSV (fixed columns, None as an empty cell) or JSON.
+
+    JSON keeps each row's own keys in order; floats are rounded to the
+    same 6 significant digits as the CSV cells.
+    """
+    if args.format == "json":
+        cleaned = []
+        for row in rows:
+            out = {}
+            for key, value in row.items():
+                out[key] = float(_fmt(value)) if isinstance(value, float) else value
+            cleaned.append(out)
+        text = json.dumps(cleaned, indent=2) + "\n"
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(row.get(column)) for column in columns])
+        text = buffer.getvalue()
+    _write_out(text, args.out)
+
+
 # ------------------------------------------------------------- selection
 
 def _select_configs(args) -> list[MelConfig]:
-    """Expand selector flags into an ordered configuration list.
+    """Expand selector flags into deduplicated configurations in report order.
 
     Defaults reproduce the benchmark grid (mel counts below 48 only at
     the base hop). Explicit flag values are honored verbatim, which can
-    leave the grid; each off-grid config warns on construction.
+    leave the grid; each off-grid config warns on construction. Repeated
+    values count once. Report order is sample rate, mel count descending,
+    hop, compression.
     """
-    rates = args.sample_rate or list(GRID_SAMPLE_RATES)
-    mels = args.mels or list(_GRID_MELS)
-    comps = args.compression or list(COMPRESSIONS)
+    rates = args.sample_rate or GRID_SAMPLE_RATES
+    mels = args.mels or _GRID_MELS
+    comps = dict.fromkeys(args.compression or COMPRESSIONS)
     configs: list[MelConfig] = []
     for rate in sorted(set(rates)):
         for mel_count in sorted(set(mels), reverse=True):
@@ -101,7 +135,7 @@ def _select_configs(args) -> list[MelConfig]:
                     configs.append(
                         MelConfig(rate, mel_count, hop_multiplier=hop, compression=comp)
                     )
-    if getattr(args, "grid_strict", False):
+    if args.grid_strict:
         for config in configs:
             if not is_grid_config(
                 config.sample_rate, config.n_mels, config.hop_multiplier
@@ -109,51 +143,49 @@ def _select_configs(args) -> list[MelConfig]:
                 raise UnsupportedConfigError(
                     f"--grid-strict: {config.config_id} is outside the benchmark grid"
                 )
+    # Compressions were taken in flag order, so the strict check names the
+    # first offender as the command line gives it; sort only afterwards.
+    configs.sort(key=lambda c: (c.sample_rate, -c.n_mels, c.hop_multiplier, c.compression))
     return configs
 
 
-def _compression_sorted(compressions) -> list[str]:
-    return sorted(compressions)  # "dB" before "log"
+# The identity columns that lead every configuration table.
+_CONFIG_COLUMNS = (
+    "config_id",
+    "sample_rate",
+    "n_mels",
+    "hop_multiplier",
+    "compression",
+)
+
+
+def _config_row(config: MelConfig) -> dict:
+    return {
+        "config_id": config.config_id,
+        "sample_rate": config.sample_rate,
+        "n_mels": config.n_mels,
+        "hop_multiplier": config.hop_multiplier,
+        "compression": config.compression,
+    }
 
 
 # ------------------------------------------------------------------ cost
 
-def _baseline_report(arch: str, sample_rate: int):
-    """Cost of the (96 mels, x1) reference point at one sample rate."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            config = MelConfig(sample_rate, 96, hop_multiplier=1)
-        [entry] = grid_cost_sweep(arch, [config])
-        return entry.report
-    except MelGaugeError:
-        return None
-
-
 def _cost_rows(arch: str, configs: list[MelConfig]) -> list[dict]:
-    entries = grid_cost_sweep(arch, configs)
-    entries.sort(
-        key=lambda e: (
-            e.config.sample_rate,
-            -e.config.n_mels,
-            e.config.hop_multiplier,
-            e.config.compression,
-        )
-    )
+    """One row per config, in config order; ratios are to (96 mels, x1)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        references = [
+            MelConfig(rate, 96, hop_multiplier=1)
+            for rate in dict.fromkeys(config.sample_rate for config in configs)
+        ]
     baselines = {
-        rate: _baseline_report(arch, rate)
-        for rate in {e.config.sample_rate for e in entries}
+        entry.config.sample_rate: entry.report
+        for entry in grid_cost_sweep(arch, references)
     }
     rows = []
-    for entry in entries:
-        config = entry.config
-        row = {
-            "config_id": config.config_id,
-            "sample_rate": config.sample_rate,
-            "n_mels": config.n_mels,
-            "hop_multiplier": config.hop_multiplier,
-            "compression": config.compression,
-        }
+    for entry in grid_cost_sweep(arch, configs):
+        row = _config_row(entry.config)
         if entry.report is None:
             row["error"] = entry.error
         else:
@@ -162,7 +194,7 @@ def _cost_rows(arch: str, configs: list[MelConfig]) -> list[dict]:
             row["gmacs"] = report.gmacs
             row["feature_bytes"] = report.feature_bytes
             row["approximate"] = ";".join(report.approximate_layers)
-            baseline = baselines[config.sample_rate]
+            baseline = baselines[entry.config.sample_rate]
             if baseline is not None:
                 row["gmacs_ratio"] = report.total_macs / baseline.total_macs
                 row["bytes_ratio"] = report.feature_bytes / baseline.feature_bytes
@@ -170,12 +202,7 @@ def _cost_rows(arch: str, configs: list[MelConfig]) -> list[dict]:
     return rows
 
 
-_COST_COLUMNS = (
-    "config_id",
-    "sample_rate",
-    "n_mels",
-    "hop_multiplier",
-    "compression",
+_COST_COLUMNS = _CONFIG_COLUMNS + (
     "total_macs",
     "gmacs",
     "gmacs_ratio",
@@ -186,62 +213,16 @@ _COST_COLUMNS = (
 )
 
 
-def _rows_to_csv(rows: list[dict], columns) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        cells = []
-        for column in columns:
-            value = row.get(column)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(_fmt(value))
-            else:
-                cells.append(str(value))
-        writer.writerow(cells)
-    return buffer.getvalue()
-
-
-def _rows_to_json(rows: list[dict]) -> str:
-    cleaned = []
-    for row in rows:
-        out = {}
-        for key, value in row.items():
-            if isinstance(value, float):
-                out[key] = float(_fmt(value))
-            else:
-                out[key] = value
-        cleaned.append(out)
-    return json.dumps(cleaned, indent=2) + "\n"
-
-
 def cmd_cost(args) -> int:
-    configs = _select_configs(args)
-    if not configs:
-        print("error: empty configuration selection", file=sys.stderr)
-        return 2
-    rows = _cost_rows(args.arch, configs)
-    if args.format == "json":
-        text = _rows_to_json(rows)
-    else:
-        text = _rows_to_csv(rows, _COST_COLUMNS)
-    _write_out(text, args.out)
+    rows = _cost_rows(args.arch, _select_configs(args))
+    _emit(rows, _COST_COLUMNS, args)
     return 0 if all("error" not in row for row in rows) else 1
 
 
 # ---------------------------------------------------------------- report
 
-_REPORT_COLUMNS = (
-    "config_id",
-    "sample_rate",
-    "n_mels",
-    "hop_multiplier",
-    "compression",
-    "gmacs",
-    "feature_bytes",
-    "approximate",
+_REPORT_COST_KEYS = _CONFIG_COLUMNS + ("gmacs", "feature_bytes", "approximate")
+_REPORT_COLUMNS = _REPORT_COST_KEYS + (
     "dataset",
     "published_roc",
     "published_pr",
@@ -252,31 +233,13 @@ _REPORT_COLUMNS = (
 
 def cmd_report(args) -> int:
     configs = _select_configs(args)
-    if not configs:
-        print("error: empty configuration selection", file=sys.stderr)
-        return 2
     cost_rows = _cost_rows(args.arch, configs)
-    by_id = {config.config_id: config for config in configs}
     rows = []
-    failed = False
-    for cost in cost_rows:
-        base = {
-            key: cost.get(key)
-            for key in (
-                "config_id",
-                "sample_rate",
-                "n_mels",
-                "hop_multiplier",
-                "compression",
-                "gmacs",
-                "feature_bytes",
-                "approximate",
-                "error",
-            )
-        }
-        if "error" in cost:
-            failed = True
-        published = published_for_config(by_id[cost["config_id"]], args.arch)
+    for config, cost in zip(configs, cost_rows):
+        # Every report row carries "error", None included, so it sits
+        # before the published keys in JSON.
+        base = {key: cost.get(key) for key in _REPORT_COST_KEYS + ("error",)}
+        published = published_for_config(config, args.arch)
         if not published:
             rows.append(base)
             continue
@@ -287,53 +250,25 @@ def cmd_report(args) -> int:
             row["published_pr"] = result.pr_auc
             row["published_source"] = SOURCE_LABEL
             rows.append(row)
-    if args.format == "json":
-        text = _rows_to_json(rows)
-    else:
-        text = _rows_to_csv(rows, _REPORT_COLUMNS)
-    _write_out(text, args.out)
-    return 1 if failed else 0
+    _emit(rows, _REPORT_COLUMNS, args)
+    return 0 if all("error" not in cost for cost in cost_rows) else 1
 
 
 # ------------------------------------------------------------------ grid
 
-_GRID_COLUMNS = (
-    "config_id",
-    "sample_rate",
-    "n_mels",
-    "hop_multiplier",
-    "compression",
-    "n_frames",
-)
+_GRID_COLUMNS = _CONFIG_COLUMNS + ("n_frames",)
 
 
 def cmd_grid(args) -> int:
-    configs = _select_configs(args)
-    if not configs:
-        print("error: empty configuration selection", file=sys.stderr)
-        return 2
-    configs.sort(
-        key=lambda c: (c.sample_rate, -c.n_mels, c.hop_multiplier, c.compression)
-    )
     rows = []
-    for config in configs:
-        row = {
-            "config_id": config.config_id,
-            "sample_rate": config.sample_rate,
-            "n_mels": config.n_mels,
-            "hop_multiplier": config.hop_multiplier,
-            "compression": config.compression,
-        }
+    for config in _select_configs(args):
+        row = _config_row(config)
         try:
             row["n_frames"] = benchmark_frames(config.sample_rate, config.hop_multiplier)
         except ValueError:
             pass
         rows.append(row)
-    if args.format == "json":
-        text = _rows_to_json(rows)
-    else:
-        text = _rows_to_csv(rows, _GRID_COLUMNS)
-    _write_out(text, args.out)
+    _emit(rows, _GRID_COLUMNS, args)
     return 0
 
 
@@ -370,11 +305,30 @@ def cmd_evaluate(args) -> int:
     except (SchemaError, EmptySummaryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        text = summary_to_csv(summary)
-    else:
-        text = summary_to_json(summary)
-    _write_out(text, args.out)
+    if args.format == "json":
+        data = {
+            "macro_roc": summary.macro_roc,
+            "macro_pr": summary.macro_pr,
+            "per_tag": {
+                name: {"roc_auc": roc, "pr_auc": pr}
+                for name, roc, pr in zip(
+                    summary.tag_names, summary.per_tag_roc, summary.per_tag_pr
+                )
+            },
+            "skipped_tags": list(summary.skipped_tags),
+        }
+        _write_out(json.dumps(data, indent=2) + "\n", args.out)
+        return 0
+    # One row per tag, skipped tags with empty metric cells, macro last.
+    rows = [
+        {"tag": name, "roc_auc": roc, "pr_auc": pr, "status": "ok"}
+        for name, roc, pr in zip(summary.tag_names, summary.per_tag_roc, summary.per_tag_pr)
+    ]
+    rows += [{"tag": name, "status": "skipped"} for name in summary.skipped_tags]
+    rows.append(
+        {"tag": "macro", "roc_auc": summary.macro_roc, "pr_auc": summary.macro_pr, "status": "ok"}
+    )
+    _emit(rows, ("tag", "roc_auc", "pr_auc", "status"), args)
     return 0
 
 
@@ -453,9 +407,11 @@ def _add_selector_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str = "csv") -> None:
+def _add_output_flags(
+    parser: argparse.ArgumentParser, default_format: str = "csv", choices=("csv", "json")
+) -> None:
     parser.add_argument(
-        "--format", choices=("csv", "json"), default=default_format,
+        "--format", choices=choices, default=default_format,
         help=f"output format (default: {default_format})",
     )
     parser.add_argument("--out", help="write to this file instead of stdout")
@@ -495,12 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--mels", type=int, required=True, help="mel band count")
     p_adapt.add_argument("--hop-mult", type=int, required=True, help="hop multiplier")
     p_adapt.add_argument("--sample-rate", type=int, required=True, help="sample rate in Hz")
-    _add_output_flags(p_adapt, default_format="text")
+    _add_output_flags(p_adapt, default_format="text", choices=("text", "json"))
     p_adapt.set_defaults(func=cmd_adapt)
-    # adapt's default format is plain text; csv is not meaningful here
-    for action in p_adapt._actions:
-        if action.dest == "format":
-            action.choices = ("text", "json")
 
     p_eval = sub.add_parser("evaluate", help="macro metrics from prediction/label CSVs")
     p_eval.add_argument("predictions", help="predictions CSV (tag header + one row per item)")

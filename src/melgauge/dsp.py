@@ -121,10 +121,6 @@ class PowerSpectrogram:
     def n_frames(self) -> int:
         return int(self.bins.shape[1])
 
-    def bin_frequencies(self) -> np.ndarray:
-        """Center frequency in Hz of each FFT bin row."""
-        return np.arange(self.n_bins) * (self.sample_rate / self.grid.frame_size)
-
 
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window of length n.

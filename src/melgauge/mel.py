@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import PAD_CENTER, AudioBuffer, FrameGrid, frame_count, stft_power
+from .dsp import PAD_CENTER, AudioBuffer, FrameGrid, stft_power
 from .exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "mel_filterbank",
     "compress_db",
     "compress_log",
-    "frame_count",
     "mel_spectrogram",
     "is_grid_config",
     "enumerate_grid",
@@ -375,7 +374,11 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
 
 
 def read_mspec(path) -> MelSpectrogram:
-    """Read a container written by write_mspec."""
+    """Read a container written by write_mspec.
+
+    A malformed file, including bad header values and bytes after the
+    payload, raises MspecFormatError naming the path.
+    """
     with open(path, "rb") as fh:
         header = fh.read(MSPEC_HEADER_SIZE)
         if len(header) != MSPEC_HEADER_SIZE:
@@ -395,17 +398,23 @@ def read_mspec(path) -> MelSpectrogram:
                 f"{path}: hop {hop_samples} is not a multiple of {REFERENCE_HOP}"
             )
         payload = fh.read(4 * n_mels * n_frames)
+        trailing = fh.read(1)
     if len(payload) != 4 * n_mels * n_frames:
         raise MspecFormatError(f"{path}: truncated payload")
+    if trailing:
+        raise MspecFormatError(f"{path}: bytes after the payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(n_mels, n_frames)
     with warnings.catch_warnings():
         # A stored file is data, not a user's config choice.
         warnings.simplefilter("ignore", GridWarning)
-        config = MelConfig(
-            sample_rate=sample_rate,
-            n_mels=n_mels,
-            hop_multiplier=hop_samples // REFERENCE_HOP,
-            compression=_COMPRESSION_NAMES[compression_code],
-            frame_size=frame_size,
-        )
+        try:
+            config = MelConfig(
+                sample_rate=sample_rate,
+                n_mels=n_mels,
+                hop_multiplier=hop_samples // REFERENCE_HOP,
+                compression=_COMPRESSION_NAMES[compression_code],
+                frame_size=frame_size,
+            )
+        except ValueError as exc:
+            raise MspecFormatError(f"{path}: bad header: {exc}") from None
     return MelSpectrogram(values=values, config=config)

@@ -16,8 +16,6 @@ different means the test is undefined and raises.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,8 +38,6 @@ __all__ = [
     "t_test_independent",
     "read_tag_csv",
     "load_tag_table",
-    "summary_to_json",
-    "summary_to_csv",
 ]
 
 
@@ -268,37 +264,3 @@ def load_tag_table(predictions_path, labels_path) -> TagTable:
         )
     return TagTable(scores=scores, labels=labels, tag_names=pred_names)
 
-
-def summary_to_json(summary: MetricSummary) -> str:
-    """MetricSummary as JSON with stable key order."""
-    data = {
-        "macro_roc": summary.macro_roc,
-        "macro_pr": summary.macro_pr,
-        "per_tag": {
-            name: {"roc_auc": roc, "pr_auc": pr}
-            for name, roc, pr in zip(
-                summary.tag_names, summary.per_tag_roc, summary.per_tag_pr
-            )
-        },
-        "skipped_tags": list(summary.skipped_tags),
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
-def summary_to_csv(summary: MetricSummary) -> str:
-    """MetricSummary as CSV: one row per tag, macro last, 6 sig digits.
-
-    Skipped tags appear with empty metric cells and status "skipped" so
-    the row set always covers the input tag list.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("tag", "roc_auc", "pr_auc", "status"))
-    for name, roc, pr in zip(
-        summary.tag_names, summary.per_tag_roc, summary.per_tag_pr
-    ):
-        writer.writerow((name, f"{roc:.6g}", f"{pr:.6g}", "ok"))
-    for name in summary.skipped_tags:
-        writer.writerow((name, "", "", "skipped"))
-    writer.writerow(("macro", f"{summary.macro_roc:.6g}", f"{summary.macro_pr:.6g}", "ok"))
-    return buffer.getvalue()

@@ -1,4 +1,4 @@
-"""Architecture shape propagation, MAC counting, and sweep serialization."""
+"""Architecture shape propagation, MAC counting, sweeps, and serialization."""
 
 import json
 import warnings
@@ -22,8 +22,6 @@ from melgauge.arch import (
     musicnn_frontend_spec,
     propagate_shapes,
     save_arch,
-    sweep_to_csv,
-    sweep_to_json,
     vgg_arch,
     vgg_pooling_plan,
 )
@@ -439,54 +437,3 @@ class TestSerialization:
         text = json.dumps(arch_to_dict(spec))
         assert "musicnn-frontend" in text
 
-
-class TestSweepOutput:
-    def test_csv_header_and_shape(self):
-        entries = grid_cost_sweep("vgg-cnn", enumerate_grid())
-        text = sweep_to_csv(entries)
-        lines = text.strip().split("\n")
-        assert len(lines) == 89
-        header = lines[0].split(",")
-        assert header[:5] == [
-            "config_id", "sample_rate", "n_mels", "hop_multiplier", "compression",
-        ]
-        assert "macs_conv1" in header
-        assert header[-2:] == ["approximate", "error"]
-        first = lines[1].split(",")
-        assert first[0] == "12000Hz-128mel-x1-log"
-        assert first[header.index("error")] == ""
-
-    def test_csv_error_row(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridWarning)
-            configs = [MelConfig(12000, 96), MelConfig(12000, 64)]
-        text = sweep_to_csv(grid_cost_sweep("vgg-cnn", configs))
-        lines = text.strip().split("\n")
-        header = lines[0].split(",")
-        bad = lines[2].split(",")
-        assert bad[header.index("total_macs")] == ""
-        assert "64" in bad[header.index("error")]
-
-    def test_csv_float_style(self):
-        entries = grid_cost_sweep("vgg-cnn", [MelConfig(12000, 96)])
-        text = sweep_to_csv(entries)
-        row = text.strip().split("\n")[1].split(",")
-        header = text.strip().split("\n")[0].split(",")
-        assert row[header.index("gmacs")] == "10.0107"
-
-    def test_json_parses_back(self):
-        entries = grid_cost_sweep("musicnn-frontend", [MelConfig(16000, 96)])
-        rows = json.loads(sweep_to_json(entries))
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["config_id"] == "16000Hz-96mel-x1-dB"
-        assert row["per_layer_macs"]["front_86x7"] > 0
-        assert row["approximate_layers"] == ["backend1", "backend2", "backend3", "output"]
-
-    def test_json_error_row(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridWarning)
-            configs = [MelConfig(12000, 64)]
-        rows = json.loads(sweep_to_json(grid_cost_sweep("vgg-cnn", configs)))
-        assert "error" in rows[0]
-        assert "total_macs" not in rows[0]

@@ -66,6 +66,17 @@ class TestAdapt:
         assert "64" in captured.err
 
 
+# ------------------------------------------------------------- selection
+
+
+@pytest.mark.parametrize("command", ["cost", "report", "grid"])
+def test_repeated_compression_counts_once(command, capsys):
+    main([command, "--mels", "96", "--compression", "dB"])
+    once = capsys.readouterr().out
+    main([command, "--mels", "96", "--compression", "dB", "--compression", "dB"])
+    assert capsys.readouterr().out == once
+
+
 # ------------------------------------------------------------------ cost
 
 

@@ -412,3 +412,36 @@ def test_mspec_rejects_malformed(tmp_path):
     header_only.write_bytes(bytes(raw[:20]))
     with pytest.raises(MspecFormatError, match="truncated"):
         read_mspec(header_only)
+
+
+def mspec_bytes(rate=12000, n_mels=8, hop=256, frame=512, frames=2, extra=b""):
+    header = struct.pack(
+        "<8sHIHIIBBIB9s", b"MSPEC1\x00\x00", 1, rate, n_mels, hop, frame, 0, 0, frames, 0,
+        bytes(9),
+    )
+    return header + bytes(4 * n_mels * frames) + extra
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"n_mels": 0}, "n_mels"),
+        ({"rate": 0}, "sample_rate"),
+        ({"hop": 0}, "hop_multiplier"),
+        ({"frame": 0}, "frame_size"),
+        ({"frame": 511}, "frame_size"),
+        ({"extra": b"\x00"}, "after the payload"),
+    ],
+)
+def test_mspec_rejects_bad_values(tmp_path, fields, match):
+    path = tmp_path / "bad.mspec"
+    path.write_bytes(mspec_bytes(**fields))
+    with pytest.raises(MspecFormatError, match=match) as info:
+        read_mspec(path)
+    assert str(path) in str(info.value)
+
+
+def test_mspec_bytes_helper_reads_back(tmp_path):
+    path = tmp_path / "good.mspec"
+    path.write_bytes(mspec_bytes())
+    assert read_mspec(path).values.shape == (8, 2)

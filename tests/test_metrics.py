@@ -1,6 +1,5 @@
 """Ranking metrics against brute-force oracles, plus the Welch test."""
 
-import json
 import math
 
 import numpy as np
@@ -14,15 +13,12 @@ from melgauge.exceptions import (
     UndefinedMetricError,
 )
 from melgauge.metrics import (
-    MetricSummary,
     TagTable,
     load_tag_table,
     macro_summary,
     pr_auc,
     read_tag_csv,
     roc_auc,
-    summary_to_csv,
-    summary_to_json,
     t_test_independent,
 )
 
@@ -376,31 +372,3 @@ class TestTagIO:
         with pytest.raises(SchemaError, match="line 2"):
             read_tag_csv(path)
 
-    def test_json_output(self):
-        summary = macro_summary(two_tag_table())
-        data = json.loads(summary_to_json(summary))
-        assert data["macro_roc"] == pytest.approx(0.875)
-        assert data["per_tag"]["a"]["roc_auc"] == 1.0
-        assert data["skipped_tags"] == []
-
-    def test_csv_output(self):
-        summary = MetricSummary(
-            tag_names=("a", "b"),
-            per_tag_roc=(1.0, 0.75),
-            per_tag_pr=(1.0, 0.875),
-            macro_roc=0.875,
-            macro_pr=0.9375,
-            skipped_tags=("z",),
-        )
-        text = summary_to_csv(summary)
-        lines = text.strip().split("\n")
-        assert lines[0] == "tag,roc_auc,pr_auc,status"
-        assert lines[1] == "a,1,1,ok"
-        assert lines[2] == "b,0.75,0.875,ok"
-        assert lines[3] == "z,,,skipped"
-        assert lines[4] == "macro,0.875,0.9375,ok"
-
-    def test_deterministic_bytes(self):
-        summary = macro_summary(two_tag_table())
-        assert summary_to_json(summary) == summary_to_json(summary)
-        assert summary_to_csv(summary) == summary_to_csv(summary)
