@@ -14,6 +14,7 @@ from .exceptions import (
     ManifestParseError,
     MelGaugeError,
     MspecFormatError,
+    OutputPathError,
     SchemaError,
     ShapeUnderflowError,
     UndefinedMetricError,

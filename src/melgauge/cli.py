@@ -32,6 +32,7 @@ from .arch import ARCH_NAMES, grid_cost_sweep, vgg_pooling_plan
 from .exceptions import (
     EmptySummaryError,
     MelGaugeError,
+    OutputPathError,
     SchemaError,
     UnsupportedConfigError,
 )
@@ -72,7 +73,10 @@ def _write_out(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputPathError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _cell(value) -> str:
@@ -334,7 +338,7 @@ def cmd_evaluate(args) -> int:
 
 # --------------------------------------------------------------- extract
 
-def _extract_one(input_path: str, config: MelConfig, out_dir: Path, input_rate: int | None):
+def _extract_one(input_path: str, config: MelConfig, out_path: Path, input_rate: int | None):
     path = Path(input_path)
     if path.suffix.lower() == ".wav":
         audio = dsp.read_wav_mono(path)
@@ -343,10 +347,26 @@ def _extract_one(input_path: str, config: MelConfig, out_dir: Path, input_rate: 
         audio = dsp.read_raw_float32(path, rate)
     if audio.sample_rate != config.sample_rate:
         audio = dsp.resample_rational(audio, config.sample_rate)
-    mel = mel_spectrogram(audio, config)
-    out_path = out_dir / (path.stem + ".mspec")
-    n_bytes = write_mspec(out_path, mel)
-    return out_path, n_bytes
+    return write_mspec(out_path, mel_spectrogram(audio, config))
+
+
+def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:
+    """OUT_DIR/<stem>.mspec for each input.
+
+    Two different files with one stem would overwrite each other's
+    features, so that raises OutputPathError; a file listed twice writes
+    the same bytes twice and is allowed.
+    """
+    claimed: dict[Path, tuple[str, Path]] = {}
+    paths = []
+    for input_path in inputs:
+        out_path = out_dir / (Path(input_path).stem + ".mspec")
+        source = Path(input_path).resolve()
+        first, first_source = claimed.setdefault(out_path, (input_path, source))
+        if first_source != source:
+            raise OutputPathError(f"{first} and {input_path} would both write {out_path}")
+        paths.append(out_path)
+    return paths
 
 
 def cmd_extract(args) -> int:
@@ -360,18 +380,22 @@ def cmd_extract(args) -> int:
         compression=args.compression,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_paths = _output_paths(args.inputs, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputPathError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
 
-    def work(input_path: str):
+    def work(input_path: str, out_path: Path):
         try:
-            out_path, n_bytes = _extract_one(input_path, config, out_dir, args.input_rate)
+            n_bytes = _extract_one(input_path, config, out_path, args.input_rate)
             return input_path, f"wrote {out_path} ({n_bytes} bytes)", None
         except (MelGaugeError, OSError, ValueError) as exc:
             return input_path, None, str(exc)
 
     workers = max(args.workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(work, args.inputs))  # map preserves input order
+        results = list(pool.map(work, args.inputs, out_paths))  # map preserves input order
     failures = 0
     for input_path, message, error in results:
         if error is None:

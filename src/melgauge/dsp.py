@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import upfirdn
 
 from .exceptions import UnsupportedRatioError
 
@@ -44,6 +43,10 @@ MAX_RESAMPLE_FACTOR = 1000
 RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 8.6
 RESAMPLE_CUTOFF = 0.9
+
+# stft_power windows, transforms and squares this many frames at a time,
+# so its temporaries stay a few hundred kB whatever the clip length.
+STFT_BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,13 @@ def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:
         else:
             x = np.full(2 * half + 1, x[0])
     frames = sliding_window_view(x, grid.frame_size)[:: grid.hop][:n_frames]
-    spectrum = np.fft.rfft(frames * hann_window(grid.frame_size), axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    window = hann_window(grid.frame_size)
+    power = np.empty((n_frames, grid.n_bins))
+    for start in range(0, n_frames, STFT_BLOCK_FRAMES):
+        spectrum = np.fft.rfft(frames[start : start + STFT_BLOCK_FRAMES] * window, axis=1)
+        block = power[start : start + STFT_BLOCK_FRAMES]
+        np.square(spectrum.real, out=block)
+        block += spectrum.imag**2
     return PowerSpectrogram(bins=power.T, sample_rate=audio.sample_rate, grid=grid)
 
 
@@ -206,6 +214,14 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     The rate change must reduce to p/q with p, q <= 1000, otherwise
     UnsupportedRatioError. Output length is round(n * p / q). Identical
     rates return a copy of the input.
+
+    Output m is sample J = delay + m*q of x upsampled by p and filtered by
+    h, where delay centres the kernel. Only the taps h[r + t*p] with
+    r = J mod p meet nonzero samples, so y[m] = sum_t h[r + t*p] *
+    x[J div p - t]; the upsampled stream is never formed. Outputs m and
+    m + p share r and read x q samples apart, so each of the p phases is
+    one strided multiply-add per tap, summed in descending t (ascending x
+    index), the order of a direct convolution.
     """
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -224,13 +240,25 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     if x.size == 0:
         raise ValueError("audio is empty")
     h = _resample_kernel(p, audio.sample_rate, target_rate)
-    upsampled = upfirdn(h, x, up=p, down=1)
     delay = (h.size - 1) // 2
     out_len = int(round(x.size * p / q))
-    idx = delay + np.arange(out_len) * q
-    if idx.size and idx[-1] >= upsampled.size:
-        upsampled = np.pad(upsampled, (0, int(idx[-1]) - upsampled.size + 1))
-    return AudioBuffer(upsampled[idx], target_rate)
+    out = np.empty(out_len)
+    # Zeros around x stand in for the taps that fall off either end; the
+    # largest t, (h.size - 1) // p, reads furthest before x.
+    lead = (h.size - 1) // p
+    tail = max(0, (delay + (out_len - 1) * q) // p + 1 - x.size)
+    padded = np.concatenate([np.zeros(lead), x, np.zeros(tail)])
+    for m0 in range(min(p, out_len)):
+        count = -(-(out_len - m0) // p)
+        base, r = divmod(delay + m0 * q, p)
+        acc = np.zeros(count)
+        term = np.empty(count)
+        for t in range((h.size - 1 - r) // p, -1, -1):
+            start = lead + base - t
+            np.multiply(padded[start : start + q * (count - 1) + 1 : q], h[r + t * p], out=term)
+            acc += term
+        out[m0::p] = acc
+    return AudioBuffer(out, target_rate)
 
 
 def read_wav_mono(path) -> AudioBuffer:

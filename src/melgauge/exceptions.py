@@ -49,5 +49,9 @@ class MspecFormatError(MelGaugeError):
     """Binary spectrogram container is malformed or unsupported."""
 
 
+class OutputPathError(MelGaugeError):
+    """An output file cannot be written, or two inputs would write the same one."""
+
+
 class GridWarning(UserWarning):
     """Configuration is constructible but outside the benchmark grid."""

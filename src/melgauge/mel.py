@@ -13,9 +13,12 @@ values. See write_mspec / read_mspec.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -228,7 +231,9 @@ def compress_db(power, floor_eps: float = DB_FLOOR_EPS):
     if floor_eps <= 0:
         raise ValueError(f"floor_eps must be positive, got {floor_eps}")
     x = np.asarray(power, dtype=np.float64)
-    out = 10.0 * np.log10(np.maximum(x, floor_eps))
+    out = np.maximum(x, floor_eps, out=np.empty(x.shape))
+    np.log10(out, out=out)
+    out *= 10.0
     return float(out) if np.isscalar(power) else out
 
 
@@ -238,7 +243,8 @@ def compress_log(power):
     Zero maps to zero exactly, and the map is strictly increasing.
     """
     x = np.asarray(power, dtype=np.float64)
-    out = np.log1p(LOG_COMPRESSION_GAIN * x)
+    out = np.multiply(x, LOG_COMPRESSION_GAIN, out=np.empty(x.shape))
+    np.log1p(out, out=out)
     return float(out) if np.isscalar(power) else out
 
 
@@ -351,7 +357,9 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
     """Write a spectrogram container; returns bytes written.
 
     Values are stored as row-major little-endian float32 regardless of
-    the in-memory dtype.
+    the in-memory dtype. The bytes go to a sibling temporary file that is
+    then renamed onto path, so path holds either its old contents or the
+    complete new file, never a partial one.
     """
     header = _MSPEC_HEADER.pack(
         _MSPEC_MAGIC,
@@ -367,9 +375,18 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
         b"\x00" * 9,
     )
     payload = np.ascontiguousarray(mel.values, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    path = Path(path)
+    # Named per process and thread, so concurrent writers of one path
+    # never share a temporary file.
+    tmp_path = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp_path, path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     return len(header) + len(payload)
 
 

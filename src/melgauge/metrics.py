@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .exceptions import (
     DegenerateVarianceError,
@@ -104,6 +103,23 @@ class MetricSummary:
     skipped_tags: tuple[str, ...]
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of values, each tie group given the mean of its ranks.
+
+    A group covering sorted positions start..end-1 holds ranks start+1..end,
+    whose mean is (start + end + 1) / 2. NaN anywhere makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels) -> float:
     """P(random positive outranks random negative), ties half-credited.
 
@@ -121,7 +137,7 @@ def roc_auc(scores, labels) -> float:
         raise UndefinedMetricError(
             f"ROC AUC needs both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    ranks = stats.rankdata(scores)
+    ranks = _average_ranks(scores)
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -208,7 +224,10 @@ def t_test_independent(sample_a, sample_b) -> tuple[float, float]:
     df = (se_a + se_b) ** 2 / (
         (se_a**2 / (a.size - 1)) + (se_b**2 / (b.size - 1))
     )
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    # Imported here so that importing the package does not load scipy.
+    from scipy.special import stdtr
+
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return float(t), min(p, 1.0)
 
 

@@ -3,12 +3,15 @@
 import json
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from melgauge.cli import main
 from melgauge.mel import read_mspec
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_wav(path, samples, sample_rate):
@@ -325,6 +328,60 @@ class TestExtract:
         ])
         assert code == 0
         assert (out_dir / "tone.mspec").exists()
+
+    def test_colliding_outputs_refused_before_any_work(self, tmp_path, capsys):
+        t = np.arange(12000) / 12000.0
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_wav(tmp_path / "a" / "x.wav", 0.4 * np.sin(2 * np.pi * 440.0 * t), 12000)
+        second = write_wav(tmp_path / "b" / "x.wav", 0.4 * np.sin(2 * np.pi * 880.0 * t), 12000)
+        out_dir = tmp_path / "feats"
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "96",
+            "--out-dir", str(out_dir), str(first), str(second),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(first) in captured.err and str(second) in captured.err
+        assert not out_dir.exists()
+
+    def test_out_dir_that_is_a_file(self, tone_wav, tmp_path, capsys):
+        blocker = tmp_path / "feats"
+        blocker.write_text("not a directory")
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "96",
+            "--out-dir", str(blocker), str(tone_wav),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+
+# ------------------------------------------------------------------ --out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--mels", "8"],
+        ["cost", "--mels", "96", "--sample-rate", "12000"],
+        ["report", "--mels", "96", "--sample-rate", "12000"],
+        ["evaluate", str(GOLDEN / "pred.csv"), str(GOLDEN / "labels.csv")],
+        ["adapt", "--mels", "96", "--hop-mult", "1", "--sample-rate", "12000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_into_missing_directory_is_an_error_line(argv, tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "x.csv"
+    code = main(argv + ["--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------- report

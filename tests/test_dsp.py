@@ -3,12 +3,18 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import upfirdn
 
 from melgauge.dsp import (
     PAD_CENTER,
     PAD_NONE,
+    STFT_BLOCK_FRAMES,
     AudioBuffer,
     FrameGrid,
+    _resample_kernel,
     frame_count,
     hann_window,
     read_raw_float32,
@@ -172,6 +178,42 @@ def test_stft_disjoint_tones_add_in_power():
     assert pab[96] == pytest.approx(pb[96], rel=0.02)
 
 
+def _stft_one_shot(x, grid):
+    """Every frame windowed and transformed in one call, power as |X|^2."""
+    n_frames = frame_count(x.size, grid.hop, grid.padding_mode, grid.frame_size)
+    if grid.padding_mode == PAD_CENTER:
+        half = grid.frame_size // 2
+        x = np.pad(x, half, mode="reflect") if x.size > 1 else np.full(2 * half + 1, x[0])
+    frames = sliding_window_view(x, grid.frame_size)[:: grid.hop][:n_frames]
+    spectrum = np.fft.rfft(frames * hann_window(grid.frame_size), axis=1)
+    return (spectrum.real**2 + spectrum.imag**2).T
+
+
+@pytest.mark.parametrize("hop", [256, 512, 2560])
+@pytest.mark.parametrize(
+    "n_frames", [1, 2, STFT_BLOCK_FRAMES - 1, STFT_BLOCK_FRAMES, STFT_BLOCK_FRAMES + 1,
+                 2 * STFT_BLOCK_FRAMES, 2 * STFT_BLOCK_FRAMES + 5],
+)
+def test_stft_blocks_equal_one_shot(rng, hop, n_frames):
+    # centred framing gives 1 + n // hop frames; unpadded gives
+    # 1 + (n - 512) // hop, so each n below yields exactly n_frames frames
+    for grid, n in (
+        (FrameGrid(512, hop, PAD_CENTER), (n_frames - 1) * hop + 1),
+        (FrameGrid(512, hop, PAD_NONE), (n_frames - 1) * hop + 512),
+    ):
+        x = rng.standard_normal(n)
+        bins = stft_power(AudioBuffer(x, 16000), grid).bins
+        assert bins.shape[1] == n_frames
+        assert np.array_equal(bins, _stft_one_shot(x, grid))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stft_tiny_inputs_equal_one_shot(rng, n):
+    x = rng.standard_normal(n)
+    grid = FrameGrid()
+    assert np.array_equal(stft_power(AudioBuffer(x, 12000), grid).bins, _stft_one_shot(x, grid))
+
+
 def test_stft_rejects_empty_audio():
     with pytest.raises(ValueError):
         stft_power(AudioBuffer(np.zeros(0), 12000), FrameGrid())
@@ -237,6 +279,55 @@ def test_resample_rejects_bad_target():
     audio = AudioBuffer(np.zeros(1000), 44100)
     with pytest.raises(ValueError):
         resample_rational(audio, 0)
+
+
+# The seven rate changes the resampler is pinned on, as (in, out) rates:
+# 80/147, 160/441, 3/4, 4/3, 2/3, 1/6 and 6/1.
+PINNED_RATIOS = [
+    (22050, 12000), (44100, 16000), (16000, 12000), (12000, 16000),
+    (24000, 16000), (48000, 8000), (8000, 48000),
+]
+
+
+def _upsample_filter_reference(x, in_rate, out_rate):
+    """The whole p-fold upsampled, filtered stream, sampled every q-th sample
+    from the kernel's centre, with zeros past its end."""
+    g = math.gcd(in_rate, out_rate)
+    p, q = out_rate // g, in_rate // g
+    h = _resample_kernel(p, in_rate, out_rate)
+    stream = upfirdn(h, x, up=p, down=1)
+    idx = (h.size - 1) // 2 + np.arange(int(round(x.size * p / q))) * q
+    stream = np.concatenate([stream, np.zeros(max(0, int(idx.max(initial=0)) + 1 - stream.size))])
+    return stream[idx]
+
+
+@pytest.mark.parametrize("rates", PINNED_RATIOS, ids=lambda r: f"{r[0]}-{r[1]}")
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 130, 1001, 4097])
+def test_resample_equals_upsample_filter_reference(rng, rates, n):
+    x = rng.uniform(-1.0, 1.0, n)
+    out = resample_rational(AudioBuffer(x, rates[0]), rates[1])
+    assert np.array_equal(out.samples, _upsample_filter_reference(x, *rates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 40),
+    q=st.integers(1, 40),
+    n=st.integers(1, 3000),
+    level=st.floats(-1.0, 1.0),
+)
+def test_resample_length_and_constant_interior(p, q, n, level):
+    out = resample_rational(AudioBuffer(np.full(n, level), 100 * q), 100 * p)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    assert out.n_samples == int(round(n * p / q))
+    if p == q:
+        return
+    # output m reads x[floor(m*q/p) - 32 : floor(m*q/p) + 33]; where all of
+    # that lies inside x, the unit-DC-gain phases give back the constant
+    centre = np.arange(out.n_samples) * q // p
+    interior = out.samples[(centre >= 32) & (centre + 32 <= n - 1)]
+    assert np.all(np.abs(interior - level) <= 1e-12)
 
 
 # ---------------------------------------------------------------- file io

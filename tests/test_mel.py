@@ -345,6 +345,39 @@ def test_mspec_roundtrip(tmp_path, rng):
     assert spec_out.config.frame_size == 512
 
 
+def test_failed_mspec_write_keeps_existing_target(tmp_path, monkeypatch):
+    import melgauge.mel as mel_module
+
+    path = tmp_path / "clip.mspec"
+    old = MelSpectrogram(values=np.zeros((8, 3)), config=MelConfig(12000, 8))
+    write_mspec(path, old)
+    before = path.read_bytes()
+
+    class FullDisk:
+        """A file that takes the header, then fails as a full disk would."""
+
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell():
+                raise OSError(28, "No space left on device")
+            self.fh.write(data)
+
+    monkeypatch.setattr(mel_module, "open", FullDisk, raising=False)
+    new = MelSpectrogram(values=np.ones((8, 50)), config=MelConfig(12000, 8))
+    with pytest.raises(OSError, match="No space"):
+        write_mspec(path, new)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.mspec"]
+
+
 def test_mspec_header_layout(tmp_path):
     config = MelConfig(12000, 96, 1, "dB")
     spec = MelSpectrogram(values=np.zeros((96, 3)), config=config)

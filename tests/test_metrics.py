@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from melgauge.exceptions import (
@@ -14,6 +17,7 @@ from melgauge.exceptions import (
 )
 from melgauge.metrics import (
     TagTable,
+    _average_ranks,
     load_tag_table,
     macro_summary,
     pr_auc,
@@ -115,6 +119,28 @@ class TestRocAuc:
         assert roc_auc(scores, labels) + roc_auc(-scores, labels) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=80), st.sampled_from([1.0, 0.1, -0.25]))
+    def test_ranks_equal_scipy_rankdata(self, values, scale):
+        # few distinct values, so most draws hold tie groups of several sizes
+        x = np.asarray(values, dtype=np.float64) * scale
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=60))
+    def test_equals_scipy_rank_statistic(self, pairs):
+        scores = np.array([s / 4.0 for s, _ in pairs])
+        labels = np.array([label for _, label in pairs])
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        if n_pos == 0 or n_neg == 0:
+            return
+        u = stats.rankdata(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+        assert roc_auc(scores, labels) == float(u / (n_pos * n_neg))
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(roc_auc([0.2, float("nan"), 0.5], [0, 1, 1]))
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetricError):
@@ -306,6 +332,16 @@ class TestWelch:
             t_ref, p_ref = oracle_welch(a, b)
             assert t == pytest.approx(t_ref, abs=1e-9)
             assert p == pytest.approx(p_ref, abs=1e-6)
+
+    def test_p_equals_scipy_t_sf(self, rng):
+        for _ in range(50):
+            a = rng.normal(0.0, 1.0, size=int(rng.integers(2, 30)))
+            b = rng.normal(0.5, 3.0, size=int(rng.integers(2, 30)))
+            t, p = t_test_independent(a, b)
+            se_a = a.var(ddof=1) / a.size
+            se_b = b.var(ddof=1) / b.size
+            df = (se_a + se_b) ** 2 / (se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1))
+            assert p == min(2.0 * float(stats.t.sf(abs(t), df)), 1.0)
 
     def test_zero_variance_equal_means(self):
         t, p = t_test_independent([2.0, 2.0], [2.0, 2.0])
