@@ -60,13 +60,13 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("MELGAUGE_WORKERS", "1")
+def _env_workers() -> int | None:
+    """MELGAUGE_WORKERS as a worker count (1 when unset), None when invalid."""
     try:
-        value = int(raw)
+        value = int(os.environ.get("MELGAUGE_WORKERS", "1"))
     except ValueError:
-        value = 1
-    return max(value, 1)
+        return None
+    return value if value >= 1 else None
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -370,6 +370,11 @@ def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:
 
 
 def cmd_extract(args) -> int:
+    workers = max(args.workers, 1) if args.workers is not None else _env_workers()
+    if workers is None:
+        raw = os.environ["MELGAUGE_WORKERS"]
+        print(f"error: MELGAUGE_WORKERS must be an integer >= 1, got {raw!r}", file=sys.stderr)
+        return 1
     if not args.inputs:
         print("warning: no input files given", file=sys.stderr)
         return 0
@@ -393,7 +398,6 @@ def cmd_extract(args) -> int:
         except (MelGaugeError, OSError, ValueError) as exc:
             return input_path, None, str(exc)
 
-    workers = max(args.workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(work, args.inputs, out_paths))  # map preserves input order
     failures = 0
@@ -460,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--out-dir", required=True, help="output directory")
     p_extract.add_argument("--input-rate", type=int,
                            help="sample rate of raw float32 inputs (default: analysis rate)")
-    p_extract.add_argument("--workers", type=int, default=_default_workers(),
+    p_extract.add_argument("--workers", type=int, default=None,
                            help="parallel workers (default: MELGAUGE_WORKERS or 1)")
     p_extract.set_defaults(func=cmd_extract)
 

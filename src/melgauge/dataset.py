@@ -15,6 +15,7 @@ scale linearly in rows and columns, plus a 40-byte header per file.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .exceptions import ManifestParseError, UnsupportedLayoutError
@@ -42,6 +43,8 @@ SPLIT_SCHEMES = ("mtat-12-1-3",)
 _TRAIN_FOLDERS = frozenset(MTAT_FOLDERS[:12])
 _VALID_FOLDERS = frozenset(MTAT_FOLDERS[12:13])
 _TEST_FOLDERS = frozenset(MTAT_FOLDERS[13:])
+_FLAG_VALUES = frozenset({0, 1})
+_FLAG_CELLS = frozenset({"0", "1"})
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ class ManifestItem:
     tag_flags: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tag_flags", tuple(int(f) for f in self.tag_flags))
-        if any(f not in (0, 1) for f in self.tag_flags):
+        object.__setattr__(self, "tag_flags", tuple(map(int, self.tag_flags)))
+        if not _FLAG_VALUES.issuperset(self.tag_flags):
             raise ValueError(f"{self.clip_id}: tag flags must be 0/1")
 
 
@@ -85,11 +88,10 @@ class DatasetManifest:
 
     def tag_counts(self) -> dict[str, int]:
         """Positive count per tag over the whole manifest."""
-        counts = dict.fromkeys(self.tag_names, 0)
-        for item in self.items:
-            for name, flag in zip(self.tag_names, item.tag_flags):
-                counts[name] += flag
-        return counts
+        if not self.items:
+            return dict.fromkeys(self.tag_names, 0)
+        columns = zip(*(item.tag_flags for item in self.items))
+        return dict(zip(self.tag_names, map(sum, columns)))
 
 
 @dataclass(frozen=True)
@@ -122,45 +124,47 @@ def parse_annotations(path) -> DatasetManifest:
     Header: clip id column first, audio path column last, tag names in
     between. Tag cells must be "0" or "1"; errors carry the 1-based line
     number. The item folder is the first component of the audio path.
+    Lines are read one at a time, so the file is never held whole.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    rows = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
-    if not rows:
-        raise ManifestParseError(f"{path}: empty annotation file")
-    header = rows[0][1].split("\t")
-    if len(header) < 3:
-        raise ManifestParseError(
-            f"{path}: header needs clip id, at least one tag, and a path; "
-            f"got {len(header)} columns"
-        )
-    tag_names = tuple(header[1:-1])
-    items = []
-    seen: set[str] = set()
-    for lineno, line in rows[1:]:
-        cells = line.split("\t")
-        if len(cells) != len(header):
+        rows = ((i, line.rstrip("\n")) for i, line in enumerate(fh, start=1) if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ManifestParseError(f"{path}: empty annotation file")
+        header = first[1].split("\t")
+        if len(header) < 3:
             raise ManifestParseError(
-                f"{path}: line {lineno}: {len(cells)} cells, header has "
-                f"{len(header)}"
+                f"{path}: header needs clip id, at least one tag, and a path; "
+                f"got {len(header)} columns"
             )
-        clip_id = cells[0]
-        if clip_id in seen:
-            raise ManifestParseError(
-                f"{path}: line {lineno}: duplicate clip_id {clip_id!r}"
-            )
-        seen.add(clip_id)
-        flags = []
-        for name, cell in zip(tag_names, cells[1:-1]):
-            if cell not in ("0", "1"):
+        tag_names = tuple(header[1:-1])
+        items = []
+        seen: set[str] = set()
+        for lineno, line in rows:
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise ManifestParseError(
+                    f"{path}: line {lineno}: {len(cells)} cells, header has "
+                    f"{len(header)}"
+                )
+            clip_id = cells[0]
+            if clip_id in seen:
+                raise ManifestParseError(
+                    f"{path}: line {lineno}: duplicate clip_id {clip_id!r}"
+                )
+            seen.add(clip_id)
+            flags = cells[1:-1]
+            if not _FLAG_CELLS.issuperset(flags):
+                name, cell = next(
+                    (name, cell) for name, cell in zip(tag_names, flags) if cell not in _FLAG_CELLS
+                )
                 raise ManifestParseError(
                     f"{path}: line {lineno}: tag {name!r} has non-binary value "
                     f"{cell!r}"
                 )
-            flags.append(int(cell))
-        audio_path = cells[-1]
-        folder = audio_path.split("/")[0]
-        items.append(ManifestItem(clip_id, audio_path, folder, tuple(flags)))
+            audio_path = cells[-1]
+            folder = audio_path.split("/")[0]
+            items.append(ManifestItem(clip_id, audio_path, folder, flags))
     return DatasetManifest(items=tuple(items), tag_names=tag_names)
 
 
@@ -212,6 +216,14 @@ def explicit_split(assignments: dict[str, str]) -> SplitAssignment:
     )
 
 
+def _tuple_getter(indices: list[int]):
+    """Function returning row[j] for each j in indices, always as a tuple."""
+    if len(indices) == 1:
+        (j,) = indices
+        return lambda row: (row[j],)
+    return operator.itemgetter(*indices)
+
+
 def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
     """Reduce the manifest to its k most frequent tags.
 
@@ -229,14 +241,10 @@ def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
         range(len(manifest.tag_names)),
         key=lambda j: (-counts[manifest.tag_names[j]], manifest.tag_names[j]),
     )[:k]
-    new_names = tuple(manifest.tag_names[j] for j in ranked)
+    pick = _tuple_getter(ranked)
+    new_names = pick(manifest.tag_names)
     new_items = tuple(
-        ManifestItem(
-            item.clip_id,
-            item.audio_path,
-            item.folder,
-            tuple(item.tag_flags[j] for j in ranked),
-        )
+        ManifestItem(item.clip_id, item.audio_path, item.folder, pick(item.tag_flags))
         for item in manifest.items
     )
     return DatasetManifest(items=new_items, tag_names=new_names)

@@ -55,6 +55,9 @@ class AudioBuffer:
 
     Samples are float64, nominally in [-1, 1]; the range is not enforced
     because resampling may overshoot slightly. Finiteness is enforced.
+    Samples are read-only: the input is copied unless it is a float64
+    array that owns its data and is already read-only, so a buffer never
+    changes after it is built and spectra cached for it stay valid.
     """
 
     samples: np.ndarray
@@ -68,6 +71,9 @@ class AudioBuffer:
             raise ValueError("samples must be finite")
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if samples.flags.writeable or not samples.flags.owndata:
+            samples = samples.copy()
+            samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
@@ -110,7 +116,10 @@ class FrameGrid:
 
 @dataclass(frozen=True)
 class PowerSpectrogram:
-    """Squared-magnitude STFT: bins is (n_bins, n_frames), non-negative."""
+    """Squared-magnitude STFT: bins is (n_bins, n_frames), non-negative.
+
+    stft_power returns read-only bins.
+    """
 
     bins: np.ndarray
     sample_rate: int
@@ -191,6 +200,7 @@ def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:
         block = power[start : start + STFT_BLOCK_FRAMES]
         np.square(spectrum.real, out=block)
         block += spectrum.imag**2
+    power.flags.writeable = False
     return PowerSpectrogram(bins=power.T, sample_rate=audio.sample_rate, grid=grid)
 
 
@@ -213,7 +223,7 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     The rate change must reduce to p/q with p, q <= 1000, otherwise
     UnsupportedRatioError. Output length is round(n * p / q). Identical
-    rates return a copy of the input.
+    rates return a new buffer sharing the input's read-only samples.
 
     Output m is sample J = delay + m*q of x upsampled by p and filtered by
     h, where delay centres the kernel. Only the taps h[r + t*p] with
@@ -235,7 +245,7 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
             f"{p}/{q}; factors above {MAX_RESAMPLE_FACTOR} are not supported"
         )
     if p == 1 and q == 1:
-        return AudioBuffer(audio.samples.copy(), target_rate)
+        return AudioBuffer(audio.samples, target_rate)
     x = audio.samples
     if x.size == 0:
         raise ValueError("audio is empty")
@@ -258,6 +268,7 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
             np.multiply(padded[start : start + q * (count - 1) + 1 : q], h[r + t * p], out=term)
             acc += term
         out[m0::p] = acc
+    out.flags.writeable = False
     return AudioBuffer(out, target_rate)
 
 
@@ -278,6 +289,7 @@ def read_wav_mono(path) -> AudioBuffer:
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples.flags.writeable = False
     return AudioBuffer(samples, rate)
 
 
@@ -287,4 +299,5 @@ def read_raw_float32(path, sample_rate: int) -> AudioBuffer:
     The sample rate is not stored in the file and must be supplied.
     """
     samples = np.fromfile(str(path), dtype="<f4").astype(np.float64)
+    samples.flags.writeable = False
     return AudioBuffer(samples, sample_rate)

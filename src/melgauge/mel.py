@@ -17,6 +17,7 @@ import os
 import struct
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,6 +249,62 @@ def compress_log(power):
     return float(out) if np.isscalar(power) else out
 
 
+# Filterbanks built so far, keyed on what mel_filterbank reads from a config.
+_filterbanks: dict[tuple, MelFilterbank] = {}
+
+
+def _cached_filterbank(config: MelConfig) -> MelFilterbank:
+    """mel_filterbank(config), built once per process and held read-only."""
+    key = (config.sample_rate, config.n_mels, config.frame_size, config.fmin, config.fmax)
+    fb = _filterbanks.get(key)
+    if fb is None:  # two threads may both build it; either result is the same
+        fb = mel_filterbank(config)
+        fb.weights.flags.writeable = False
+        fb.center_freqs.flags.writeable = False
+        _filterbanks[key] = fb
+    return fb
+
+
+# The last spectrum computed: (weak reference to its AudioBuffer,
+# (frame_size, padding_mode), PowerSpectrogram). One tuple, replaced in a
+# single assignment, so concurrent readers see a whole entry or none.
+_spectrum_slot: tuple | None = None
+
+
+def _drop_spectrum(ref: weakref.ref) -> None:
+    """Clear the slot when the buffer it holds a spectrum of is collected.
+
+    If another thread fills the slot between the test and the clearing,
+    that entry is lost, which costs one STFT and never a wrong result.
+    """
+    global _spectrum_slot
+    held = _spectrum_slot
+    if held is not None and held[0] is ref:
+        _spectrum_slot = None
+
+
+def _power_bins(audio: AudioBuffer, grid: FrameGrid) -> np.ndarray:
+    """stft_power(audio, grid).bins, sliced from the held spectrum if it serves.
+
+    With the same frame size and padding, frame t at hop h*k is frame t*k
+    at hop h, so a held spectrum at hop h serves every multiple of h
+    without a transform. A miss runs stft_power at the requested hop,
+    never a finer one, and the result replaces the held spectrum.
+    """
+    global _spectrum_slot
+    key = (grid.frame_size, grid.padding_mode)
+    held = _spectrum_slot
+    if held is not None and held[0]() is audio and held[1] == key:
+        held_hop = held[2].grid.hop
+        if grid.hop % held_hop == 0:
+            return held[2].bins[:, :: grid.hop // held_hop]
+    # Let the held spectrum go first, so that two are never held at once.
+    held = _spectrum_slot = None
+    spectrum = stft_power(audio, grid)
+    _spectrum_slot = (weakref.ref(audio, _drop_spectrum), key, spectrum)
+    return spectrum.bins
+
+
 def _compress(power: np.ndarray, compression: str) -> np.ndarray:
     return compress_db(power) if compression == "dB" else compress_log(power)
 
@@ -276,6 +333,11 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     When config.target_frames is set the output is right-cropped or
     right-padded to that width; padding uses the compressed value of
     silence (0 for log, the dB floor for dB).
+
+    Repeated calls on one buffer share work: the spectrum of the latest
+    buffer is held while that buffer lives and sliced for any hop that is
+    a multiple of its own, and each filterbank is built once per process.
+    The output is the same as computing both afresh.
     """
     if audio.sample_rate != config.sample_rate:
         raise ValueError(
@@ -283,9 +345,8 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
             "resample before extraction"
         )
     grid = FrameGrid(frame_size=config.frame_size, hop=config.hop, padding_mode=PAD_CENTER)
-    power = stft_power(audio, grid)
-    fb = mel_filterbank(config)
-    values = _compress(fb.weights @ power.bins, config.compression)
+    fb = _cached_filterbank(config)
+    values = _compress(fb.weights @ _power_bins(audio, grid), config.compression)
     if config.target_frames is not None and values.shape[1] != config.target_frames:
         if values.shape[1] > config.target_frames:
             values = values[:, : config.target_frames]

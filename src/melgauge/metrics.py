@@ -107,10 +107,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of values, each tie group given the mean of its ranks.
 
     A group covering sorted positions start..end-1 holds ranks start+1..end,
-    whose mean is (start + end + 1) / 2. NaN anywhere makes every rank NaN.
+    whose mean is (start + end + 1) / 2. Values must be finite.
     """
-    if np.isnan(values).any():
-        return np.full(values.shape, np.nan)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -120,17 +118,26 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _ranking_inputs(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and labels as 0/1 int64, checked as one ranking."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = _as_binary(labels)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError("scores and labels must be 1-D and the same length")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    return scores, labels
+
+
 def roc_auc(scores, labels) -> float:
     """P(random positive outranks random negative), ties half-credited.
 
     Computed from average ranks: U = sum of positive ranks minus the
     minimum possible, normalized by the pair count. Raises
-    UndefinedMetricError when only one class is present.
+    UndefinedMetricError when only one class is present and ValueError
+    for a score that is not finite.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = _as_binary(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ValueError("scores and labels must be 1-D and the same length")
+    scores, labels = _ranking_inputs(scores, labels)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -147,12 +154,10 @@ def pr_auc(scores, labels) -> float:
 
     Items are ranked by descending score; equal scores keep their input
     order (stable sort), which makes tie behavior reproducible but input
-    -order dependent. Raises UndefinedMetricError with zero positives.
+    -order dependent. Raises UndefinedMetricError with zero positives and
+    ValueError for a score that is not finite.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = _as_binary(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ValueError("scores and labels must be 1-D and the same length")
+    scores, labels = _ranking_inputs(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("PR AUC needs at least one positive")

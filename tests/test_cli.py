@@ -329,6 +329,53 @@ class TestExtract:
         assert code == 0
         assert (out_dir / "tone.mspec").exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1.5"])
+    def test_bad_workers_env_is_an_error_line(self, value, tone_wav, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MELGAUGE_WORKERS", value)
+        out_dir = tmp_path / "feats"
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "96",
+            "--out-dir", str(out_dir), str(tone_wav),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: MELGAUGE_WORKERS must be an integer >= 1, got {value!r}\n"
+        assert not out_dir.exists()
+
+    def test_bad_workers_env_only_matters_when_extract_reads_it(
+        self, tone_wav, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("MELGAUGE_WORKERS", "abc")
+        assert main(["grid", "--mels", "96"]) == 0
+        assert main(["cost", "--mels", "96"]) == 0
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "96", "--workers", "2",
+            "--out-dir", str(tmp_path / "feats"), str(tone_wav),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_two_workers_over_distinct_clips_write_the_same_bytes(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        sources = []
+        for i, rate in enumerate((12000, 12000, 16000, 16000, 22050, 12000)):
+            samples = 0.3 * rng.standard_normal(rate * (2 + i % 3))
+            sources.append(str(write_wav(tmp_path / f"clip{i}.wav", samples, rate)))
+        outputs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            code = main([
+                "extract", "--sample-rate", "12000", "--mels", "48", "--hop-mult", "2",
+                "--workers", workers, "--out-dir", str(out_dir), *sources,
+            ])
+            assert code == 0
+            listing = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((listing, files))
+        assert len(outputs[0][1]) == len(sources)
+        assert outputs[0] == outputs[1]
+
     def test_colliding_outputs_refused_before_any_work(self, tmp_path, capsys):
         t = np.arange(12000) / 12000.0
         (tmp_path / "a").mkdir()

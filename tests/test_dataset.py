@@ -103,6 +103,35 @@ class TestParseAnnotations:
         with pytest.raises(ManifestParseError):
             parse_annotations(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty annotation file"),
+            ("\n  \n\n", "empty annotation file"),
+            ("id\tpath\n", "header needs clip id, at least one tag, and a path; got 2 columns"),
+            ("id\ta\tb\tpath\n\n1\t0\t1\t0/x\n2\t0\t0/y\n", "line 4: 3 cells, header has 4"),
+            ("id\ta\tpath\n1\t0\t0/x\n\n1\t1\t0/y\n", "line 4: duplicate clip_id '1'"),
+            # the first bad cell is named, with blank lines still counted
+            ("\nid\ta\tb\tc\tpath\n1\t0\t1\t0\t0/x\n\n2\t1\t2\tx\t0/y\n",
+             "line 5: tag 'b' has non-binary value '2'"),
+            ("id\ta\tb\tpath\n1\t \t1\t0/x\n", "line 2: tag 'a' has non-binary value ' '"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "annot.tsv"
+        path.write_text(text)
+        with pytest.raises(ManifestParseError) as info:
+            parse_annotations(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_tag_counts_and_top_k_on_parsed_file(self, tmp_path):
+        manifest = parse_annotations(small_fixture(tmp_path))
+        assert manifest.tag_counts() == {"rock": 2, "piano": 2, "loud": 1, "quiet": 1}
+        assert DatasetManifest((), ("a", "b")).tag_counts() == {"a": 0, "b": 0}
+        top = top_k_tags(manifest, 1)
+        assert top.tag_names == ("piano",)
+        assert [item.tag_flags for item in top.items] == [(0,), (1,), (1,)]
+
 
 class TestCanonicalSplit:
     def test_sixteen_by_two(self, tmp_path):

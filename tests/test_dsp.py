@@ -214,6 +214,34 @@ def test_stft_tiny_inputs_equal_one_shot(rng, n):
     assert np.array_equal(stft_power(AudioBuffer(x, 12000), grid).bins, _stft_one_shot(x, grid))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5000),
+    st.integers(1, 700),
+    st.integers(1, 10),
+    st.sampled_from([PAD_CENTER, PAD_NONE]),
+    st.sampled_from([16, 512]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stft_at_hop_multiple_is_strided_slice(n, hop, k, padding, frame_size, seed):
+    # frame t at hop h*k starts where frame t*k at hop h does, so every
+    # hop multiple is the finer spectrum sliced, bit for bit
+    if padding == PAD_NONE:
+        n += frame_size - 1
+    audio = AudioBuffer(np.random.default_rng(seed).standard_normal(n), 16000)
+    fine = stft_power(audio, FrameGrid(frame_size, hop, padding))
+    coarse = stft_power(audio, FrameGrid(frame_size, hop * k, padding))
+    assert np.array_equal(coarse.bins, fine.bins[:, ::k])
+    assert coarse.n_frames == frame_count(n, hop * k, padding, frame_size)
+    assert fine.n_frames == frame_count(n, hop, padding, frame_size)
+
+
+def test_stft_bins_are_read_only(rng):
+    spectrum = stft_power(AudioBuffer(rng.standard_normal(2000), 12000), FrameGrid())
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.bins[0, 0] = 1.0
+
+
 def test_stft_rejects_empty_audio():
     with pytest.raises(ValueError):
         stft_power(AudioBuffer(np.zeros(0), 12000), FrameGrid())
@@ -374,6 +402,46 @@ def test_raw_float32_reader(tmp_path, rng):
     audio = read_raw_float32(path, 16000)
     assert audio.sample_rate == 16000
     assert audio.samples == pytest.approx(values.astype(np.float64), abs=0.0)
+
+
+def test_audio_buffer_samples_are_read_only():
+    audio = AudioBuffer(np.zeros(8), 12000)
+    with pytest.raises(ValueError, match="read-only"):
+        audio.samples[0] = 1.0
+
+
+def test_audio_buffer_copies_a_writeable_input():
+    source = np.linspace(-0.5, 0.5, 8)
+    audio = AudioBuffer(source, 12000)
+    source[:] = 0.25
+    assert np.array_equal(audio.samples, np.linspace(-0.5, 0.5, 8))
+    # a read-only view of a writeable array can still change, so it is copied too
+    view = np.linspace(-0.5, 0.5, 8)
+    frozen_view = view[:]
+    frozen_view.flags.writeable = False
+    audio = AudioBuffer(frozen_view, 12000)
+    view[:] = 0.25
+    assert np.array_equal(audio.samples, np.linspace(-0.5, 0.5, 8))
+
+
+def test_audio_buffer_keeps_an_owned_read_only_array():
+    samples = np.arange(8) / 8.0
+    samples.flags.writeable = False
+    assert AudioBuffer(samples, 12000).samples is samples
+
+
+def test_readers_and_resampler_hand_over_owned_read_only_samples(tmp_path, rng):
+    path = tmp_path / "clip.wav"
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(16000)
+        wav.writeframes(rng.integers(-3000, 3000, 1600).astype("<i2").tobytes())
+    rng.standard_normal(100).astype("<f4").tofile(tmp_path / "clip.f32")
+    audio = read_wav_mono(path)
+    for buffer in (audio, resample_rational(audio, 12000), read_raw_float32(tmp_path / "clip.f32", 16000)):
+        assert buffer.samples.flags.owndata
+        assert not buffer.samples.flags.writeable
 
 
 def test_audio_buffer_validation():

@@ -1,10 +1,14 @@
+import gc
 import math
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from melgauge.dsp import AudioBuffer, frame_count
+from melgauge import mel
+from melgauge.dsp import PAD_CENTER, AudioBuffer, FrameGrid, frame_count, stft_power
 from melgauge.exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 from melgauge.mel import (
     MSPEC_HEADER_SIZE,
@@ -219,6 +223,121 @@ def test_mel_spectrogram_tone_row(rng):
     fb = mel_filterbank(config)
     expected_row = int(np.argmin(np.abs(fb.center_freqs - 1500.0)))
     assert int(np.argmax(spec.values.mean(axis=1))) == expected_row
+
+
+def _fresh_mel(audio, config):
+    """mel_spectrogram's values computed with no cache: one STFT, one filterbank."""
+    grid = FrameGrid(config.frame_size, config.hop, PAD_CENTER)
+    power = mel_filterbank(config).weights @ stft_power(audio, grid).bins
+    return compress_db(power) if config.compression == "dB" else compress_log(power)
+
+
+@pytest.fixture
+def counted_stfts(monkeypatch):
+    """Hops of the STFTs mel_spectrogram runs, with an empty spectrum slot."""
+    hops = []
+
+    def counting(audio, grid):
+        hops.append(grid.hop)
+        return stft_power(audio, grid)
+
+    monkeypatch.setattr(mel, "stft_power", counting)
+    monkeypatch.setattr(mel, "_spectrum_slot", None)
+    return hops
+
+
+def test_hop_multiples_of_one_buffer_share_one_stft(rng, counted_stfts):
+    audio = AudioBuffer(rng.standard_normal(24000), 12000)
+    for config in enumerate_grid():
+        if config.sample_rate == 12000:
+            assert np.array_equal(mel_spectrogram(audio, config).values, _fresh_mel(audio, config))
+    assert counted_stfts == [256]
+
+
+def test_spectrum_is_never_computed_finer_than_asked(rng, counted_stfts):
+    audio = AudioBuffer(rng.standard_normal(24000), 12000)
+    for hop_multiplier in (10, 5, 1, 2, 3):
+        config = MelConfig(12000, 96, hop_multiplier)
+        assert np.array_equal(mel_spectrogram(audio, config).values, _fresh_mel(audio, config))
+    # 5 is not a multiple of 10 and 1 not of 5; 2 and 3 slice the hop-256 one
+    assert counted_stfts == [2560, 1280, 256]
+
+
+def test_other_buffer_misses_the_held_spectrum(rng, counted_stfts):
+    first = AudioBuffer(rng.standard_normal(12000), 12000)
+    second = AudioBuffer(first.samples * 0.5, 12000)
+    config = MelConfig(12000, 48)
+    mel_spectrogram(first, config)
+    assert np.array_equal(mel_spectrogram(second, config).values, _fresh_mel(second, config))
+    assert counted_stfts == [256, 256]
+
+
+def test_held_spectrum_is_let_go_before_a_miss_is_computed(rng, monkeypatch):
+    slot_during_stft = []
+
+    def observing(audio, grid):
+        slot_during_stft.append(mel._spectrum_slot)
+        return stft_power(audio, grid)
+
+    monkeypatch.setattr(mel, "stft_power", observing)
+    first = AudioBuffer(rng.standard_normal(12000), 12000)
+    second = AudioBuffer(rng.standard_normal(12000), 12000)
+    mel_spectrogram(first, MelConfig(12000, 48))
+    mel_spectrogram(second, MelConfig(12000, 48))
+    assert slot_during_stft == [None, None]
+
+
+def test_held_spectrum_is_dropped_with_its_buffer(rng, counted_stfts):
+    audio = AudioBuffer(rng.standard_normal(12000), 12000)
+    mel_spectrogram(audio, MelConfig(12000, 48))
+    assert mel._spectrum_slot is not None
+    del audio
+    gc.collect()
+    assert mel._spectrum_slot is None
+
+
+def test_threads_sharing_the_slot_get_their_own_spectra(rng):
+    # more threads than cores, switching often, each on its own buffer: a
+    # spectrum served to the wrong buffer or a torn slot entry shows here
+    buffers = [AudioBuffer(rng.standard_normal(12000 + 997 * i), 12000) for i in range(4)]
+    configs = [MelConfig(12000, 96, k) for k in (1, 2, 3, 4, 5, 10)]
+
+    def run(audio):
+        return [mel_spectrogram(audio, config).values for config in configs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(run, buffers * 6, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 24
+    for i, values in enumerate(results):
+        audio = buffers[i % len(buffers)]
+        for config, got in zip(configs, values):
+            assert np.array_equal(got, _fresh_mel(audio, config))
+
+
+def test_filterbank_built_once_per_key_and_read_only(monkeypatch, rng):
+    built = []
+
+    def counting(config):
+        built.append(config.n_mels)
+        return mel_filterbank(config)
+
+    monkeypatch.setattr(mel, "mel_filterbank", counting)
+    monkeypatch.setattr(mel, "_filterbanks", {})
+    audio = AudioBuffer(rng.standard_normal(12000), 12000)
+    for config in enumerate_grid():
+        if config.sample_rate == 12000:
+            mel_spectrogram(audio, config)
+    assert sorted(built) == [8, 16, 24, 32, 48, 96, 128]
+    for fb in mel._filterbanks.values():
+        with pytest.raises(ValueError, match="read-only"):
+            fb.weights[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fb.center_freqs[0] = 1.0
 
 
 def test_mel_spectrogram_rejects_rate_mismatch():

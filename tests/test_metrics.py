@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -139,8 +139,13 @@ class TestRocAuc:
         u = stats.rankdata(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
         assert roc_auc(scores, labels) == float(u / (n_pos * n_neg))
 
-    def test_nan_score_gives_nan(self):
-        assert math.isnan(roc_auc([0.2, float("nan"), 0.5], [0, 1, 1]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=40))
+    def test_equals_pair_count_oracle_on_ties(self, pairs):
+        scores = [s / 4.0 for s, _ in pairs]
+        labels = [label for _, label in pairs]
+        assume(0 < sum(labels) < len(labels))
+        assert roc_auc(scores, labels) == pytest.approx(oracle_roc(scores, labels), abs=1e-12)
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetricError):
@@ -207,9 +212,27 @@ class TestPrAuc:
             separated = neg.size == 0 or pos_min > neg.max()
             assert (value == 1.0) == separated
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=1, max_size=40))
+    def test_equals_precision_at_each_positive_on_ties(self, pairs):
+        scores = [s / 4.0 for s, _ in pairs]
+        labels = [label for _, label in pairs]
+        assume(sum(labels) > 0)
+        assert pr_auc(scores, labels) == pytest.approx(
+            oracle_average_precision(scores, labels), abs=1e-12
+        )
+
     def test_no_positives_raises(self):
         with pytest.raises(UndefinedMetricError):
             pr_auc([0.5, 0.6], [0, 0])
+
+
+def test_non_finite_scores_raise():
+    # a NaN would otherwise sort last and score as the lowest rank
+    for metric in (roc_auc, pr_auc):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                metric([0.2, bad, 0.5], [0, 1, 1])
 
 
 # ------------------------------------------------------------ macro summary
