@@ -23,8 +23,6 @@ from .exceptions import (
     UnsupportedRatioError,
 )
 from .dsp import (
-    PAD_CENTER,
-    PAD_NONE,
     AudioBuffer,
     FrameGrid,
     PowerSpectrogram,
@@ -61,16 +59,12 @@ from .arch import (
     PoolingPlan,
     ShapeTrace,
     SweepEntry,
-    arch_from_dict,
-    arch_to_dict,
     count_macs,
     filter_extent,
     grid_cost_sweep,
-    load_arch,
     musicnn_filter_heights,
     musicnn_frontend_spec,
     propagate_shapes,
-    save_arch,
     vgg_arch,
     vgg_pooling_plan,
 )
@@ -89,10 +83,7 @@ from .dataset import (
     ManifestItem,
     SplitAssignment,
     canonical_split,
-    explicit_split,
-    load_manifest,
     parse_annotations,
-    save_manifest,
     storage_size,
     top_k_tags,
 )

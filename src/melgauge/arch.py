@@ -22,8 +22,7 @@ terminal global pool is appended and recorded in the trace.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
 from .dsp import frame_count
@@ -50,10 +49,6 @@ __all__ = [
     "count_macs",
     "filter_extent",
     "grid_cost_sweep",
-    "arch_to_dict",
-    "arch_from_dict",
-    "save_arch",
-    "load_arch",
 ]
 
 ARCH_NAMES = ("vgg-cnn", "musicnn-frontend")
@@ -482,63 +477,3 @@ def grid_cost_sweep(arch_name: str, configs) -> list[SweepEntry]:
         except (UnsupportedConfigError, ShapeUnderflowError, ValueError) as exc:
             entries.append(SweepEntry(config, None, str(exc)))
     return entries
-
-
-# ------------------------------------------------------------ serialization
-
-def arch_to_dict(arch: ArchSpec) -> dict:
-    """Plain-data form of an ArchSpec (JSON-ready, stable key order)."""
-
-    def layer_dict(layer: ConvLayerSpec) -> dict:
-        return {
-            "filter_freq": layer.filter_freq,
-            "filter_time": layer.filter_time,
-            "out_channels": layer.out_channels,
-            "padding": layer.padding,
-        }
-
-    data = {
-        "name": arch.name,
-        "layers": [layer_dict(layer) for layer in arch.layers],
-        "pooling": None
-        if arch.pooling is None
-        else {
-            "freq_pools": list(arch.pooling.freq_pools),
-            "time_pools": list(arch.pooling.time_pools),
-        },
-        "backend_layers": [layer_dict(layer) for layer in arch.backend_layers],
-        "segment_frames": arch.segment_frames,
-        "output_tags": arch.output_tags,
-    }
-    return data
-
-
-def arch_from_dict(data: dict) -> ArchSpec:
-    """Inverse of arch_to_dict; validates through the usual constructors."""
-    pooling = None
-    if data.get("pooling") is not None:
-        pooling = PoolingPlan(
-            freq_pools=tuple(data["pooling"]["freq_pools"]),
-            time_pools=tuple(data["pooling"]["time_pools"]),
-        )
-    return ArchSpec(
-        name=data["name"],
-        layers=tuple(ConvLayerSpec(**layer) for layer in data["layers"]),
-        pooling=pooling,
-        backend_layers=tuple(ConvLayerSpec(**layer) for layer in data.get("backend_layers", [])),
-        segment_frames=data.get("segment_frames"),
-        output_tags=data.get("output_tags"),
-    )
-
-
-def save_arch(path, arch: ArchSpec) -> None:
-    """Write an ArchSpec as readable JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(arch_to_dict(arch), fh, indent=2)
-        fh.write("\n")
-
-
-def load_arch(path) -> ArchSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return arch_from_dict(json.load(fh))
-

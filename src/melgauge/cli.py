@@ -9,8 +9,8 @@ Subcommands:
   report    cost table joined with the published-results reference table
 
 All report output is deterministic: rows are sorted by (sample_rate,
-n_mels descending, hop ascending, compression), floats are formatted at
-6 significant digits, and worker count never changes output bytes.
+n_mels descending, hop ascending, compression) and floats are formatted
+at 6 significant digits.
 Selectors default to the benchmark grid; off-grid values are honored
 with a warning unless --grid-strict is given.
 """
@@ -21,10 +21,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dsp
@@ -58,15 +56,6 @@ _GRID_MELS = GRID_FULL_HOP_MELS + GRID_BASE_HOP_MELS
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
-
-
-def _env_workers() -> int | None:
-    """MELGAUGE_WORKERS as a worker count (1 when unset), None when invalid."""
-    try:
-        value = int(os.environ.get("MELGAUGE_WORKERS", "1"))
-    except ValueError:
-        return None
-    return value if value >= 1 else None
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -370,11 +359,6 @@ def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:
 
 
 def cmd_extract(args) -> int:
-    workers = max(args.workers, 1) if args.workers is not None else _env_workers()
-    if workers is None:
-        raw = os.environ["MELGAUGE_WORKERS"]
-        print(f"error: MELGAUGE_WORKERS must be an integer >= 1, got {raw!r}", file=sys.stderr)
-        return 1
     if not args.inputs:
         print("warning: no input files given", file=sys.stderr)
         return 0
@@ -390,39 +374,42 @@ def cmd_extract(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputPathError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
-
-    def work(input_path: str, out_path: Path):
+    failures = 0
+    for input_path, out_path in zip(args.inputs, out_paths):
         try:
             n_bytes = _extract_one(input_path, config, out_path, args.input_rate)
-            return input_path, f"wrote {out_path} ({n_bytes} bytes)", None
         except (MelGaugeError, OSError, ValueError) as exc:
-            return input_path, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(work, args.inputs, out_paths))  # map preserves input order
-    failures = 0
-    for input_path, message, error in results:
-        if error is None:
-            print(message)
-        else:
             failures += 1
-            print(f"error: {input_path}: {error}", file=sys.stderr)
+            print(f"error: {input_path}: {exc}", file=sys.stderr)
+        else:
+            print(f"wrote {out_path} ({n_bytes} bytes)")
     return 1 if failures else 0
 
 
 # ----------------------------------------------------------------- parser
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and rates: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_selector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--sample-rate", type=int, action="append",
+        "--sample-rate", type=_positive_int, action="append",
         help="sample rate in Hz; repeatable (default: 12000 and 16000)",
     )
     parser.add_argument(
-        "--mels", type=int, action="append",
+        "--mels", type=_positive_int, action="append",
         help="mel band count; repeatable (default: the benchmark counts)",
     )
     parser.add_argument(
-        "--hop-mult", type=int, action="append",
+        "--hop-mult", type=_positive_int, action="append",
         help="hop multiplier over 256 samples; repeatable (default: grid hops)",
     )
     parser.add_argument(
@@ -454,18 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="extract mel features to .mspec files")
     p_extract.add_argument("inputs", nargs="*", help="input audio files (.wav or raw float32)")
-    p_extract.add_argument("--sample-rate", type=int, required=True,
+    p_extract.add_argument("--sample-rate", type=_positive_int, required=True,
                            help="analysis sample rate in Hz")
-    p_extract.add_argument("--mels", type=int, required=True, help="mel band count")
-    p_extract.add_argument("--hop-mult", type=int, default=1,
+    p_extract.add_argument("--mels", type=_positive_int, required=True, help="mel band count")
+    p_extract.add_argument("--hop-mult", type=_positive_int, default=1,
                            help="hop multiplier over 256 samples (default: 1)")
     p_extract.add_argument("--compression", choices=COMPRESSIONS, default="dB",
                            help="magnitude compression (default: dB)")
     p_extract.add_argument("--out-dir", required=True, help="output directory")
     p_extract.add_argument("--input-rate", type=int,
                            help="sample rate of raw float32 inputs (default: analysis rate)")
-    p_extract.add_argument("--workers", type=int, default=None,
-                           help="parallel workers (default: MELGAUGE_WORKERS or 1)")
     p_extract.set_defaults(func=cmd_extract)
 
     p_cost = sub.add_parser("cost", help="MAC and storage cost table")

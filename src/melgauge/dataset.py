@@ -4,9 +4,7 @@ Annotation files are tab-separated with a header: clip id first, audio
 path last, one binary tag column per name in between. The folder of an
 item is the first component of its audio path. The canonical split
 sorts the 16 convention folders lexicographically and sends the first
-12 to train, the 13th ("d") to valid, and the last 3 to test. Datasets
-that arrive with explicit split labels instead of a folder convention
-go through explicit_split.
+12 to train, the 13th ("d") to valid, and the last 3 to test.
 
 Storage accounting mirrors the binary feature container: payload bytes
 scale linearly in rows and columns, plus a 40-byte header per file.
@@ -14,7 +12,6 @@ scale linearly in rows and columns, plus a 40-byte header per file.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -29,13 +26,8 @@ __all__ = [
     "SplitAssignment",
     "parse_annotations",
     "canonical_split",
-    "explicit_split",
     "top_k_tags",
     "storage_size",
-    "manifest_to_json",
-    "manifest_from_json",
-    "save_manifest",
-    "load_manifest",
 ]
 
 MTAT_FOLDERS = tuple("0123456789abcdef")
@@ -45,6 +37,11 @@ _VALID_FOLDERS = frozenset(MTAT_FOLDERS[12:13])
 _TEST_FOLDERS = frozenset(MTAT_FOLDERS[13:])
 _FLAG_VALUES = frozenset({0, 1})
 _FLAG_CELLS = frozenset({"0", "1"})
+
+
+def _repeated(names: tuple[str, ...]) -> str | None:
+    """The first name that already occurred earlier in names, if any."""
+    return next((name for i, name in enumerate(names) if name in names[:i]), None)
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class ManifestItem:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Immutable collection of annotated items with a shared tag list."""
+    """Immutable collection of annotated items with a shared list of distinct tags."""
 
     items: tuple[ManifestItem, ...]
     tag_names: tuple[str, ...]
@@ -72,6 +69,9 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "tag_names", tuple(str(n) for n in self.tag_names))
+        repeated = _repeated(self.tag_names)
+        if repeated is not None:
+            raise ValueError(f"duplicate tag name {repeated!r}")
         seen: set[str] = set()
         for item in self.items:
             if item.clip_id in seen:
@@ -121,8 +121,8 @@ class SplitAssignment:
 def parse_annotations(path) -> DatasetManifest:
     """Parse a tab-separated annotation file into a manifest.
 
-    Header: clip id column first, audio path column last, tag names in
-    between. Tag cells must be "0" or "1"; errors carry the 1-based line
+    Header: clip id column first, audio path column last, distinct tag
+    names in between. Tag cells must be "0" or "1"; errors carry the 1-based line
     number. The item folder is the first component of the audio path.
     Lines are read one at a time, so the file is never held whole.
     """
@@ -138,6 +138,9 @@ def parse_annotations(path) -> DatasetManifest:
                 f"got {len(header)} columns"
             )
         tag_names = tuple(header[1:-1])
+        repeated = _repeated(tag_names)
+        if repeated is not None:
+            raise ManifestParseError(f"{path}: line {first[0]}: duplicate tag {repeated!r}")
         items = []
         seen: set[str] = set()
         for lineno, line in rows:
@@ -197,25 +200,6 @@ def canonical_split(manifest: DatasetManifest, scheme: str = "mtat-12-1-3") -> S
     return SplitAssignment(frozenset(train), frozenset(valid), frozenset(test))
 
 
-def explicit_split(assignments: dict[str, str]) -> SplitAssignment:
-    """Build a split from an external clip id -> split label mapping.
-
-    For datasets that publish their subsets directly instead of using a
-    folder convention. Labels must be "train", "valid", or "test".
-    """
-    buckets: dict[str, set[str]] = {"train": set(), "valid": set(), "test": set()}
-    for clip_id, label in assignments.items():
-        if label not in buckets:
-            raise ValueError(
-                f"clip {clip_id!r}: split label must be train/valid/test, got "
-                f"{label!r}"
-            )
-        buckets[label].add(clip_id)
-    return SplitAssignment(
-        frozenset(buckets["train"]), frozenset(buckets["valid"]), frozenset(buckets["test"])
-    )
-
-
 def _tuple_getter(indices: list[int]):
     """Function returning row[j] for each j in indices, always as a tuple."""
     if len(indices) == 1:
@@ -257,49 +241,3 @@ def storage_size(config: MelConfig, n_frames: int, bytes_per_value: int = 4) -> 
     if bytes_per_value < 1:
         raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
     return config.n_mels * n_frames * bytes_per_value + MSPEC_HEADER_SIZE
-
-
-# --------------------------------------------------------------------- JSON
-
-def manifest_to_json(manifest: DatasetManifest) -> str:
-    """Manifest as JSON with stable key ordering."""
-    data = {
-        "tag_names": list(manifest.tag_names),
-        "items": [
-            {
-                "clip_id": item.clip_id,
-                "audio_path": item.audio_path,
-                "folder": item.folder,
-                "tag_flags": list(item.tag_flags),
-            }
-            for item in manifest.items
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
-def manifest_from_json(text: str) -> DatasetManifest:
-    try:
-        data = json.loads(text)
-        items = tuple(
-            ManifestItem(
-                clip_id=entry["clip_id"],
-                audio_path=entry["audio_path"],
-                folder=entry["folder"],
-                tag_flags=tuple(entry["tag_flags"]),
-            )
-            for entry in data["items"]
-        )
-        return DatasetManifest(items=items, tag_names=tuple(data["tag_names"]))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ManifestParseError(f"malformed manifest JSON: {exc}") from exc
-
-
-def save_manifest(path, manifest: DatasetManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(manifest_to_json(manifest))
-
-
-def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return manifest_from_json(fh.read())

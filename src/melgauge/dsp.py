@@ -18,8 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import UnsupportedRatioError
 
 __all__ = [
-    "PAD_CENTER",
-    "PAD_NONE",
     "AudioBuffer",
     "FrameGrid",
     "PowerSpectrogram",
@@ -30,9 +28,6 @@ __all__ = [
     "read_wav_mono",
     "read_raw_float32",
 ]
-
-PAD_CENTER = "center-reflect"
-PAD_NONE = "none"
 
 # Largest numerator/denominator after reducing in_rate:out_rate. Keeps the
 # polyphase filter bank small; anything beyond this is a config error.
@@ -89,24 +84,20 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Analysis framing: frame size, hop, and edge padding policy.
+    """Analysis framing: frame size and hop.
 
-    padding_mode "center-reflect" aligns frame t to sample t*hop (frame
-    centers sit on the hop grid, edges reflect-padded); "none" starts
-    frame t at sample t*hop and never reads past the signal.
+    Frame t is centred on sample t*hop, so frame centers sit on the hop
+    grid; samples past either edge are reflected.
     """
 
     frame_size: int = 512
     hop: int = 256
-    padding_mode: str = PAD_CENTER
 
     def __post_init__(self) -> None:
         if self.frame_size <= 0 or self.frame_size % 2 != 0:
             raise ValueError(f"frame_size must be positive and even, got {self.frame_size}")
         if self.hop <= 0:
             raise ValueError(f"hop must be positive, got {self.hop}")
-        if self.padding_mode not in (PAD_CENTER, PAD_NONE):
-            raise ValueError(f"unknown padding_mode {self.padding_mode!r}")
 
     @property
     def n_bins(self) -> int:
@@ -146,31 +137,17 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
 
-def frame_count(
-    n_samples: int,
-    hop: int,
-    padding_mode: str = PAD_CENTER,
-    frame_size: int = 512,
-) -> int:
-    """Number of analysis frames produced for a signal of n_samples.
+def frame_count(n_samples: int, hop: int) -> int:
+    """Number of centred analysis frames for a signal of n_samples.
 
-    center-reflect: 1 + floor(n_samples / hop); frames exist for every hop
-    point including both edges. none: 1 + floor((n_samples - frame_size)
-    / hop); requires n_samples >= frame_size.
+    1 + floor(n_samples / hop): one frame for every hop point, both edges
+    included, whatever the frame size.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if hop <= 0:
         raise ValueError(f"hop must be positive, got {hop}")
-    if padding_mode == PAD_CENTER:
-        return 1 + n_samples // hop
-    if padding_mode == PAD_NONE:
-        if n_samples < frame_size:
-            raise ValueError(
-                f"unpadded framing needs at least frame_size={frame_size} samples, got {n_samples}"
-            )
-        return 1 + (n_samples - frame_size) // hop
-    raise ValueError(f"unknown padding_mode {padding_mode!r}")
+    return 1 + n_samples // hop
 
 
 def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:
@@ -178,20 +155,18 @@ def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:
 
     Each frame is multiplied by a periodic Hann window and transformed by
     an unnormalized real FFT of exactly frame_size points (no zero
-    padding); columns are |X|^2. Frame t covers samples starting at
-    t*hop - frame_size/2 ("center-reflect", edges mirrored) or t*hop
-    ("none").
+    padding); columns are |X|^2. Frame t covers samples t*hop -
+    frame_size/2 up to t*hop + frame_size/2, mirrored at the edges.
     """
     x = audio.samples
     if x.size == 0:
         raise ValueError("audio is empty")
-    n_frames = frame_count(x.size, grid.hop, grid.padding_mode, grid.frame_size)
-    if grid.padding_mode == PAD_CENTER:
-        half = grid.frame_size // 2
-        if x.size > 1:
-            x = np.pad(x, (half, half), mode="reflect")
-        else:
-            x = np.full(2 * half + 1, x[0])
+    n_frames = frame_count(x.size, grid.hop)
+    half = grid.frame_size // 2
+    if x.size > 1:
+        x = np.pad(x, (half, half), mode="reflect")
+    else:
+        x = np.full(2 * half + 1, x[0])
     frames = sliding_window_view(x, grid.frame_size)[:: grid.hop][:n_frames]
     window = hann_window(grid.frame_size)
     power = np.empty((n_frames, grid.n_bins))

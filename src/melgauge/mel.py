@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import PAD_CENTER, AudioBuffer, FrameGrid, stft_power
+from .dsp import AudioBuffer, FrameGrid, stft_power
 from .exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 
 __all__ = [
@@ -266,8 +266,8 @@ def _cached_filterbank(config: MelConfig) -> MelFilterbank:
 
 
 # The last spectrum computed: (weak reference to its AudioBuffer,
-# (frame_size, padding_mode), PowerSpectrogram). One tuple, replaced in a
-# single assignment, so concurrent readers see a whole entry or none.
+# PowerSpectrogram). One tuple, replaced in a single assignment, so
+# concurrent readers see a whole entry or none.
 _spectrum_slot: tuple | None = None
 
 
@@ -286,22 +286,21 @@ def _drop_spectrum(ref: weakref.ref) -> None:
 def _power_bins(audio: AudioBuffer, grid: FrameGrid) -> np.ndarray:
     """stft_power(audio, grid).bins, sliced from the held spectrum if it serves.
 
-    With the same frame size and padding, frame t at hop h*k is frame t*k
-    at hop h, so a held spectrum at hop h serves every multiple of h
-    without a transform. A miss runs stft_power at the requested hop,
-    never a finer one, and the result replaces the held spectrum.
+    With the same frame size, frame t at hop h*k is frame t*k at hop h,
+    so a held spectrum at hop h serves every multiple of h without a
+    transform. A miss runs stft_power at the requested hop, never a
+    finer one, and the result replaces the held spectrum.
     """
     global _spectrum_slot
-    key = (grid.frame_size, grid.padding_mode)
     held = _spectrum_slot
-    if held is not None and held[0]() is audio and held[1] == key:
-        held_hop = held[2].grid.hop
-        if grid.hop % held_hop == 0:
-            return held[2].bins[:, :: grid.hop // held_hop]
+    if held is not None and held[0]() is audio:
+        held_grid = held[1].grid
+        if held_grid.frame_size == grid.frame_size and grid.hop % held_grid.hop == 0:
+            return held[1].bins[:, :: grid.hop // held_grid.hop]
     # Let the held spectrum go first, so that two are never held at once.
     held = _spectrum_slot = None
     spectrum = stft_power(audio, grid)
-    _spectrum_slot = (weakref.ref(audio, _drop_spectrum), key, spectrum)
+    _spectrum_slot = (weakref.ref(audio, _drop_spectrum), spectrum)
     return spectrum.bins
 
 
@@ -344,7 +343,7 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
             f"audio rate {audio.sample_rate} != config rate {config.sample_rate}; "
             "resample before extraction"
         )
-    grid = FrameGrid(frame_size=config.frame_size, hop=config.hop, padding_mode=PAD_CENTER)
+    grid = FrameGrid(frame_size=config.frame_size, hop=config.hop)
     fb = _cached_filterbank(config)
     values = _compress(fb.weights @ _power_bins(audio, grid), config.compression)
     if config.target_frames is not None and values.shape[1] != config.target_frames:

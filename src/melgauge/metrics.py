@@ -239,7 +239,7 @@ def t_test_independent(sample_a, sample_b) -> tuple[float, float]:
 # --------------------------------------------------------------------- I/O
 
 def read_tag_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a (header of tag names, one row per item) CSV of numbers."""
+    """Read a (header of distinct tag names, one row per item) CSV of numbers."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = [
             (i, cells)
@@ -249,6 +249,9 @@ def read_tag_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     if not records:
         raise SchemaError(f"{path}: empty file")
     names = tuple(cell.strip() for cell in records[0][1])
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: header repeats tag {repeated!r}")
     rows = []
     for i, cells in records[1:]:
         if len(cells) != len(names):

@@ -1,6 +1,5 @@
-"""Architecture shape propagation, MAC counting, sweeps, and serialization."""
+"""Architecture shape propagation, MAC counting, and sweeps."""
 
-import json
 import warnings
 
 import pytest
@@ -12,16 +11,12 @@ from melgauge.arch import (
     ArchSpec,
     ConvLayerSpec,
     PoolingPlan,
-    arch_from_dict,
-    arch_to_dict,
     count_macs,
     filter_extent,
     grid_cost_sweep,
-    load_arch,
     musicnn_filter_heights,
     musicnn_frontend_spec,
     propagate_shapes,
-    save_arch,
     vgg_arch,
     vgg_pooling_plan,
 )
@@ -409,31 +404,3 @@ class TestGridCostSweep:
         [entry] = grid_cost_sweep("vgg-cnn", [config])
         assert entry.report is None
         assert "block 4" in entry.error
-
-
-# ------------------------------------------------------------ serialization
-
-
-class TestSerialization:
-    def test_vgg_roundtrip(self):
-        arch = vgg_arch(vgg_pooling_plan(48, 3, 16000))
-        assert arch_from_dict(arch_to_dict(arch)) == arch
-
-    def test_musicnn_roundtrip(self):
-        spec = musicnn_frontend_spec(48, 12000, hop_multiplier=2)
-        assert arch_from_dict(arch_to_dict(spec)) == spec
-
-    def test_file_roundtrip(self, tmp_path):
-        arch = vgg_arch(vgg_pooling_plan(96, 1, 12000))
-        path = tmp_path / "arch.json"
-        save_arch(path, arch)
-        assert load_arch(path) == arch
-        data = json.loads(path.read_text())
-        assert data["name"] == "vgg-cnn"
-        assert data["pooling"]["time_pools"] == [4, 5, 8, 8]
-
-    def test_dict_is_json_ready(self):
-        spec = musicnn_frontend_spec(96)
-        text = json.dumps(arch_to_dict(spec))
-        assert "musicnn-frontend" in text
-

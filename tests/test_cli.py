@@ -234,6 +234,18 @@ class TestEvaluate:
         assert code == 1
         assert "'c'" in captured.err
 
+    def test_repeated_tag_is_an_error_line(self, tmp_path, capsys):
+        # both tags would share one per_tag key in the JSON output
+        pred = tmp_path / "pred.csv"
+        labels = tmp_path / "labels.csv"
+        pred.write_text("a,a\n0.9,0.1\n0.1,0.9\n")
+        labels.write_text("a,a\n1,0\n0,1\n")
+        code = main(["evaluate", str(pred), str(labels)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {pred}: header repeats tag 'a'\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["evaluate", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])
         assert code == 1
@@ -304,77 +316,27 @@ class TestExtract:
         # one second of audio at the analysis rate
         assert mel.values.shape == (96, 1 + 12000 // 256)
 
-    def test_worker_count_does_not_change_output(self, tone_wav, tmp_path, capsys):
-        outputs = []
-        for workers, sub in (("1", "a"), ("4", "b")):
-            out_dir = tmp_path / sub
-            code = main([
-                "extract", "--sample-rate", "12000", "--mels", "32",
-                "--workers", workers, "--out-dir", str(out_dir),
-                str(tone_wav), str(tone_wav.parent / "tone.wav"),
-            ])
-            assert code == 0
-            listing = capsys.readouterr().out.replace(str(out_dir), "OUT")
-            outputs.append((listing, (out_dir / "tone.mspec").read_bytes()))
-        assert outputs[0][0] == outputs[1][0]
-        assert outputs[0][1] == outputs[1][1]
-
-    def test_workers_env_default(self, tone_wav, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MELGAUGE_WORKERS", "3")
+    def test_mixed_batch_reports_in_input_order(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        sources = []
+        for i, rate in enumerate((12000, 16000, 22050, 44100)):
+            samples = 0.3 * rng.standard_normal(rate * (1 + i % 2))
+            sources.append(str(write_wav(tmp_path / f"clip{i}.wav", samples, rate)))
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not a wav at all")
+        sources.insert(2, str(bad))
         out_dir = tmp_path / "feats"
         code = main([
-            "extract", "--sample-rate", "12000", "--mels", "96",
-            "--out-dir", str(out_dir), str(tone_wav),
-        ])
-        assert code == 0
-        assert (out_dir / "tone.mspec").exists()
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1.5"])
-    def test_bad_workers_env_is_an_error_line(self, value, tone_wav, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MELGAUGE_WORKERS", value)
-        out_dir = tmp_path / "feats"
-        code = main([
-            "extract", "--sample-rate", "12000", "--mels", "96",
-            "--out-dir", str(out_dir), str(tone_wav),
+            "extract", "--sample-rate", "12000", "--mels", "48", "--hop-mult", "2",
+            "--out-dir", str(out_dir), *sources,
         ])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: MELGAUGE_WORKERS must be an integer >= 1, got {value!r}\n"
-        assert not out_dir.exists()
-
-    def test_bad_workers_env_only_matters_when_extract_reads_it(
-        self, tone_wav, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("MELGAUGE_WORKERS", "abc")
-        assert main(["grid", "--mels", "96"]) == 0
-        assert main(["cost", "--mels", "96"]) == 0
-        code = main([
-            "extract", "--sample-rate", "12000", "--mels", "96", "--workers", "2",
-            "--out-dir", str(tmp_path / "feats"), str(tone_wav),
-        ])
-        assert code == 0
-        assert capsys.readouterr().err == ""
-
-    def test_two_workers_over_distinct_clips_write_the_same_bytes(self, tmp_path, capsys):
-        rng = np.random.default_rng(7)
-        sources = []
-        for i, rate in enumerate((12000, 12000, 16000, 16000, 22050, 12000)):
-            samples = 0.3 * rng.standard_normal(rate * (2 + i % 3))
-            sources.append(str(write_wav(tmp_path / f"clip{i}.wav", samples, rate)))
-        outputs = []
-        for workers in ("1", "2"):
-            out_dir = tmp_path / f"w{workers}"
-            code = main([
-                "extract", "--sample-rate", "12000", "--mels", "48", "--hop-mult", "2",
-                "--workers", workers, "--out-dir", str(out_dir), *sources,
-            ])
-            assert code == 0
-            listing = capsys.readouterr().out.replace(str(out_dir), "OUT")
-            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-            outputs.append((listing, files))
-        assert len(outputs[0][1]) == len(sources)
-        assert outputs[0] == outputs[1]
+        written = [line.split(" ")[1] for line in captured.out.splitlines()]
+        assert written == [str(out_dir / f"clip{i}.mspec") for i in range(4)]
+        [error] = captured.err.splitlines()
+        assert error.startswith(f"error: {bad}: ")
+        assert sorted(p.name for p in out_dir.iterdir()) == [f"clip{i}.mspec" for i in range(4)]
 
     def test_colliding_outputs_refused_before_any_work(self, tmp_path, capsys):
         t = np.arange(12000) / 12000.0
@@ -404,6 +366,39 @@ class TestExtract:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+
+# ------------------------------------------------------------ selectors
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("cost", "--mels", "0"),
+        ("grid", "--hop-mult", "-1"),
+        ("report", "--sample-rate", "0"),
+        ("extract", "--mels", "0"),
+        ("extract", "--hop-mult", "0"),
+        ("extract", "--sample-rate", "twelve"),
+    ],
+)
+def test_non_positive_selector_is_a_usage_error(command, flag, value, tmp_path, capsys, tone_wav):
+    out_dir = tmp_path / "feats"
+    argv = [command, flag, value]
+    if command == "extract":
+        required = {"--sample-rate": "12000", "--mels": "96"}
+        required.pop(flag, None)
+        argv += [item for pair in required.items() for item in pair]
+        argv += ["--out-dir", str(out_dir), str(tone_wav)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: expected a positive integer, got {value!r}\n"
+    )
+    assert not out_dir.exists()
 
 
 # ------------------------------------------------------------------ --out

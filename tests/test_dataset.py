@@ -1,7 +1,5 @@
 """Manifest parsing, the folder split rule, tag selection, storage math."""
 
-import json
-
 import pytest
 
 from melgauge.dataset import (
@@ -10,12 +8,7 @@ from melgauge.dataset import (
     ManifestItem,
     SplitAssignment,
     canonical_split,
-    explicit_split,
-    load_manifest,
-    manifest_from_json,
-    manifest_to_json,
     parse_annotations,
-    save_manifest,
     storage_size,
     top_k_tags,
 )
@@ -115,6 +108,9 @@ class TestParseAnnotations:
             ("\nid\ta\tb\tc\tpath\n1\t0\t1\t0\t0/x\n\n2\t1\t2\tx\t0/y\n",
              "line 5: tag 'b' has non-binary value '2'"),
             ("id\ta\tb\tpath\n1\t \t1\t0/x\n", "line 2: tag 'a' has non-binary value ' '"),
+            # a repeated tag would merge two columns in tag_counts
+            ("clip_id\trock\trock\tmp3_path\n1\t1\t0\t0/x\n2\t1\t0\t0/y\n",
+             "line 1: duplicate tag 'rock'"),
         ],
     )
     def test_error_messages(self, tmp_path, text, message):
@@ -197,18 +193,6 @@ class TestCanonicalSplit:
     def test_split_type_rejects_overlap(self):
         with pytest.raises(ValueError):
             SplitAssignment(frozenset({"1"}), frozenset({"1"}), frozenset())
-
-
-class TestExplicitSplit:
-    def test_mapping(self):
-        split = explicit_split({"a": "train", "b": "valid", "c": "test", "d": "train"})
-        assert split.train == {"a", "d"}
-        assert split.valid == {"b"}
-        assert split.test == {"c"}
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError, match="'dev'"):
-            explicit_split({"a": "dev"})
 
 
 class TestTopKTags:
@@ -305,6 +289,10 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match="duplicate"):
             DatasetManifest(items, ("t",))
 
+    def test_duplicate_tag_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate tag name 'rock'"):
+            DatasetManifest((ManifestItem("1", "0/x.mp3", "0", (1, 0)),), ("rock", "rock"))
+
     def test_flag_length_mismatch(self):
         items = (ManifestItem("1", "0/x.mp3", "0", (1, 0)),)
         with pytest.raises(ValueError):
@@ -317,34 +305,3 @@ class TestManifestValidation:
     def test_tag_counts(self, tmp_path):
         manifest = parse_annotations(small_fixture(tmp_path))
         assert manifest.tag_counts() == {"rock": 2, "piano": 2, "loud": 1, "quiet": 1}
-
-
-class TestManifestJson:
-    def test_roundtrip(self, tmp_path):
-        manifest = parse_annotations(small_fixture(tmp_path))
-        again = manifest_from_json(manifest_to_json(manifest))
-        assert again == manifest
-
-    def test_file_roundtrip(self, tmp_path):
-        manifest = parse_annotations(small_fixture(tmp_path))
-        path = tmp_path / "manifest.json"
-        save_manifest(path, manifest)
-        assert load_manifest(path) == manifest
-
-    def test_stable_bytes(self, tmp_path):
-        manifest = parse_annotations(small_fixture(tmp_path))
-        assert manifest_to_json(manifest) == manifest_to_json(manifest)
-
-    def test_key_order(self, tmp_path):
-        manifest = parse_annotations(small_fixture(tmp_path))
-        data = json.loads(manifest_to_json(manifest))
-        assert list(data.keys()) == ["tag_names", "items"]
-        assert list(data["items"][0].keys()) == [
-            "clip_id", "audio_path", "folder", "tag_flags",
-        ]
-
-    def test_malformed_json(self):
-        with pytest.raises(ManifestParseError):
-            manifest_from_json("{not json")
-        with pytest.raises(ManifestParseError):
-            manifest_from_json('{"items": []}')

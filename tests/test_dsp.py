@@ -9,8 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import upfirdn
 
 from melgauge.dsp import (
-    PAD_CENTER,
-    PAD_NONE,
     STFT_BLOCK_FRAMES,
     AudioBuffer,
     FrameGrid,
@@ -71,24 +69,11 @@ def test_frame_count_centered_benchmark_segment():
     assert frame_count(12000, 256) == 47
 
 
-def test_frame_count_unpadded():
-    assert frame_count(512, 256, PAD_NONE) == 1
-    assert frame_count(1024, 256, PAD_NONE) == 3
-    assert frame_count(767, 256, PAD_NONE) == 1
-
-
-def test_frame_count_unpadded_needs_full_frame():
-    with pytest.raises(ValueError):
-        frame_count(511, 256, PAD_NONE)
-
-
 def test_frame_count_rejects_bad_arguments():
     with pytest.raises(ValueError):
         frame_count(0, 256)
     with pytest.raises(ValueError):
         frame_count(1000, 0)
-    with pytest.raises(ValueError):
-        frame_count(1000, 256, "mirror")
 
 
 def test_doubling_hop_halves_frame_count_within_rounding(rng):
@@ -100,36 +85,43 @@ def test_doubling_hop_halves_frame_count_within_rounding(rng):
 
 # ---------------------------------------------------------------- stft
 
+def _interior(n, hop, frame_size=512):
+    """Columns of a centred grid whose frames read no reflected sample.
+
+    Frame t at hop h covers x[t*h - frame_size/2 : t*h + frame_size/2].
+    """
+    half = frame_size // 2
+    return slice(-(-half // hop), (n - half) // hop + 1)
+
+
 def test_stft_shape_follows_frame_count(rng):
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
-    ps = stft_power(audio, FrameGrid(512, 256, PAD_CENTER))
+    ps = stft_power(audio, FrameGrid(512, 256))
     assert ps.bins.shape == (257, frame_count(12000, 256))
-    ps = stft_power(audio, FrameGrid(512, 256, PAD_NONE))
-    assert ps.bins.shape == (257, frame_count(12000, 256, PAD_NONE))
 
 
 def test_stft_matches_bruteforce_dft(rng):
-    # one unpadded frame against an O(n^2) DFT evaluated from the definition
-    x = rng.standard_normal(512)
-    ps = stft_power(AudioBuffer(x, 12000), FrameGrid(512, 512, PAD_NONE))
-    xw = x * hann_window(512)
+    # frame 1 at hop 512 is x[256:768], clear of both reflected edges;
+    # checked against an O(n^2) DFT evaluated from the definition
+    x = rng.standard_normal(768)
+    ps = stft_power(AudioBuffer(x, 12000), FrameGrid(512, 512))
+    xw = x[256:768] * hann_window(512)
     n = np.arange(512)
     expected = np.empty(257)
     for k in range(257):
         coef = np.exp(-2j * np.pi * k * n / 512.0)
         expected[k] = abs(np.dot(xw, coef)) ** 2
-    assert ps.bins[:, 0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    assert ps.bins[:, 1] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_stft_sine_localizes_to_expected_bin():
-    # 1500 Hz at 12 kHz falls exactly on bin round(1500 * 512 / 12000) = 64
+    # 1500 Hz at 12 kHz falls exactly on bin round(1500 * 512 / 12000) = 64;
+    # every frame clear of the reflected edges peaks there
     audio = AudioBuffer(sine(1500.0, 12000), 12000)
-    ps = stft_power(audio, FrameGrid(512, 256, PAD_NONE))
-    assert np.all(np.argmax(ps.bins, axis=0) == 64)
-    # centered framing: all interior frames agree; only the first frame sees
-    # the reflected edge
-    ps = stft_power(audio, FrameGrid(512, 256, PAD_CENTER))
-    assert np.all(np.argmax(ps.bins[:, 1:-1], axis=0) == 64)
+    ps = stft_power(audio, FrameGrid(512, 256))
+    interior = ps.bins[:, _interior(audio.n_samples, 256)]
+    assert interior.shape[1] == ps.n_frames - 2
+    assert np.all(np.argmax(interior, axis=0) == 64)
 
 
 def test_stft_zero_audio_is_all_zero():
@@ -145,33 +137,41 @@ def test_stft_power_is_nonnegative(rng):
 
 def test_stft_parseval_single_frame(rng):
     # sum over all N DFT bins of |X|^2 equals N * sum(xw^2); fold the
-    # one-sided spectrum back with the Hermitian double count
-    x = rng.standard_normal(512)
-    ps = stft_power(AudioBuffer(x, 12000), FrameGrid(512, 512, PAD_NONE))
-    col = ps.bins[:, 0]
+    # one-sided spectrum back with the Hermitian double count. Frame 1 at
+    # hop 512 is x[256:768].
+    x = rng.standard_normal(768)
+    ps = stft_power(AudioBuffer(x, 12000), FrameGrid(512, 512))
+    col = ps.bins[:, 1]
     folded = 2.0 * col.sum() - col[0] - col[-1]
-    xw = x * hann_window(512)
+    xw = x[256:768] * hann_window(512)
     assert folded == pytest.approx(512.0 * np.sum(xw**2), rel=1e-12)
 
 
 def test_stft_time_shift_moves_columns(rng):
+    # frame t of x[256:] reads what frame t + 1 of x reads; compared where
+    # neither frame reaches a reflected edge
     x = rng.standard_normal(6000)
-    grid = FrameGrid(512, 256, PAD_NONE)
+    grid = FrameGrid(512, 256)
     full = stft_power(AudioBuffer(x, 12000), grid)
     shifted = stft_power(AudioBuffer(x[256:], 12000), grid)
-    assert shifted.bins == pytest.approx(full.bins[:, 1 : 1 + shifted.n_frames], rel=1e-9, abs=1e-12)
+    cols = _interior(x.size - 256, 256)
+    assert shifted.bins[:, cols] == pytest.approx(
+        full.bins[:, cols.start + 1 : cols.stop + 1], rel=1e-9, abs=1e-12
+    )
 
 
 def test_stft_disjoint_tones_add_in_power():
-    # on-bin tones at bins 32 and 96: cross terms vanish, so the power of
-    # the sum matches the sum of powers well inside a 2% budget
+    # on-bin tones at bins 32 and 96: cross terms vanish in frames clear of
+    # the reflected edges, so the power of the sum matches the sum of
+    # powers well inside a 2% budget
     sr = 12000
     a = sine(32 * sr / 512.0, sr, amp=0.4)
     b = sine(96 * sr / 512.0, sr, amp=0.3)
-    grid = FrameGrid(512, 256, PAD_NONE)
-    pa = stft_power(AudioBuffer(a, sr), grid).bins
-    pb = stft_power(AudioBuffer(b, sr), grid).bins
-    pab = stft_power(AudioBuffer(a + b, sr), grid).bins
+    grid = FrameGrid(512, 256)
+    cols = _interior(sr, 256)
+    pa = stft_power(AudioBuffer(a, sr), grid).bins[:, cols]
+    pb = stft_power(AudioBuffer(b, sr), grid).bins[:, cols]
+    pab = stft_power(AudioBuffer(a + b, sr), grid).bins[:, cols]
     assert np.sum(pab) == pytest.approx(np.sum(pa) + np.sum(pb), rel=0.02)
     # per-bin check on the carrier bins themselves
     assert pab[32] == pytest.approx(pa[32], rel=0.02)
@@ -179,11 +179,10 @@ def test_stft_disjoint_tones_add_in_power():
 
 
 def _stft_one_shot(x, grid):
-    """Every frame windowed and transformed in one call, power as |X|^2."""
-    n_frames = frame_count(x.size, grid.hop, grid.padding_mode, grid.frame_size)
-    if grid.padding_mode == PAD_CENTER:
-        half = grid.frame_size // 2
-        x = np.pad(x, half, mode="reflect") if x.size > 1 else np.full(2 * half + 1, x[0])
+    """Every centred frame windowed and transformed in one call, power as |X|^2."""
+    n_frames = frame_count(x.size, grid.hop)
+    half = grid.frame_size // 2
+    x = np.pad(x, half, mode="reflect") if x.size > 1 else np.full(2 * half + 1, x[0])
     frames = sliding_window_view(x, grid.frame_size)[:: grid.hop][:n_frames]
     spectrum = np.fft.rfft(frames * hann_window(grid.frame_size), axis=1)
     return (spectrum.real**2 + spectrum.imag**2).T
@@ -195,13 +194,11 @@ def _stft_one_shot(x, grid):
                  2 * STFT_BLOCK_FRAMES, 2 * STFT_BLOCK_FRAMES + 5],
 )
 def test_stft_blocks_equal_one_shot(rng, hop, n_frames):
-    # centred framing gives 1 + n // hop frames; unpadded gives
-    # 1 + (n - 512) // hop, so each n below yields exactly n_frames frames
-    for grid, n in (
-        (FrameGrid(512, hop, PAD_CENTER), (n_frames - 1) * hop + 1),
-        (FrameGrid(512, hop, PAD_NONE), (n_frames - 1) * hop + 512),
-    ):
+    # centred framing gives 1 + n // hop frames, so the shortest and the
+    # longest n below both yield exactly n_frames frames
+    for n in ((n_frames - 1) * hop + 1, n_frames * hop - 1):
         x = rng.standard_normal(n)
+        grid = FrameGrid(512, hop)
         bins = stft_power(AudioBuffer(x, 16000), grid).bins
         assert bins.shape[1] == n_frames
         assert np.array_equal(bins, _stft_one_shot(x, grid))
@@ -219,21 +216,18 @@ def test_stft_tiny_inputs_equal_one_shot(rng, n):
     st.integers(1, 5000),
     st.integers(1, 700),
     st.integers(1, 10),
-    st.sampled_from([PAD_CENTER, PAD_NONE]),
     st.sampled_from([16, 512]),
     st.integers(0, 2**32 - 1),
 )
-def test_stft_at_hop_multiple_is_strided_slice(n, hop, k, padding, frame_size, seed):
-    # frame t at hop h*k starts where frame t*k at hop h does, so every
+def test_stft_at_hop_multiple_is_strided_slice(n, hop, k, frame_size, seed):
+    # frame t at hop h*k is centred where frame t*k at hop h is, so every
     # hop multiple is the finer spectrum sliced, bit for bit
-    if padding == PAD_NONE:
-        n += frame_size - 1
     audio = AudioBuffer(np.random.default_rng(seed).standard_normal(n), 16000)
-    fine = stft_power(audio, FrameGrid(frame_size, hop, padding))
-    coarse = stft_power(audio, FrameGrid(frame_size, hop * k, padding))
+    fine = stft_power(audio, FrameGrid(frame_size, hop))
+    coarse = stft_power(audio, FrameGrid(frame_size, hop * k))
     assert np.array_equal(coarse.bins, fine.bins[:, ::k])
-    assert coarse.n_frames == frame_count(n, hop * k, padding, frame_size)
-    assert fine.n_frames == frame_count(n, hop, padding, frame_size)
+    assert coarse.n_frames == frame_count(n, hop * k)
+    assert fine.n_frames == frame_count(n, hop)
 
 
 def test_stft_bins_are_read_only(rng):
@@ -252,8 +246,6 @@ def test_frame_grid_validation():
         FrameGrid(frame_size=511)
     with pytest.raises(ValueError):
         FrameGrid(hop=0)
-    with pytest.raises(ValueError):
-        FrameGrid(padding_mode="wrap")
 
 
 # ---------------------------------------------------------------- resampling

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from melgauge import mel
-from melgauge.dsp import PAD_CENTER, AudioBuffer, FrameGrid, frame_count, stft_power
+from melgauge.dsp import AudioBuffer, FrameGrid, frame_count, stft_power
 from melgauge.exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 from melgauge.mel import (
     MSPEC_HEADER_SIZE,
@@ -227,7 +227,7 @@ def test_mel_spectrogram_tone_row(rng):
 
 def _fresh_mel(audio, config):
     """mel_spectrogram's values computed with no cache: one STFT, one filterbank."""
-    grid = FrameGrid(config.frame_size, config.hop, PAD_CENTER)
+    grid = FrameGrid(config.frame_size, config.hop)
     power = mel_filterbank(config).weights @ stft_power(audio, grid).bins
     return compress_db(power) if config.compression == "dB" else compress_log(power)
 
