@@ -5,8 +5,8 @@ convolutions (128/384/768/2048 channels) where each block ends in a max
 pool; the pooling plan is looked up per front-end configuration so that
 the stack reduces any grid input to exactly 1x1. "musicnn-frontend" is a
 bank of parallel first-layer filters whose heights follow the mel count
-(90% and 40% of the input rows) plus four temporal filters, optionally
-followed by a small sequential back-end.
+(90% and 40% of the input rows) plus four temporal filters, followed
+by a small sequential back-end.
 
 Cost is measured in multiply-accumulate operations (MACs) of the
 convolution layers, counted at the conv output dims before pooling, plus
@@ -15,18 +15,20 @@ normalization, and activations are not counted. The MUSICNN back-end and
 everything after it are approximations (the wiring between front-end and
 back-end is under-specified) and are labeled as such in every report.
 
-Shape propagation uses floor division per pooling stage. If a stage
-would reach zero the propagation fails; if the stack ends above 1x1 a
-terminal global pool is appended and recorded in the trace.
+Shapes and MACs come from one walk over the architecture. It uses
+floor division per pooling stage. If a stage would reach zero the walk
+fails; if the stack ends above 1x1 a terminal global pool is appended
+and recorded in the trace.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
 from .dsp import frame_count
-from .mel import MSPEC_HEADER_SIZE, MelConfig, benchmark_frames
+from .mel import MelConfig, benchmark_frames, mspec_size
 
 __all__ = [
     "VGG_CHANNELS",
@@ -95,6 +97,9 @@ MUSICNN_FILTERS_PER_SHAPE = 51
 MUSICNN_BACKEND_CHANNELS = 512
 MUSICNN_BACKEND_DEPTH = 3
 
+# Tags of the final projection, the top-50 tagging task of the paper.
+OUTPUT_TAGS = 50
+
 
 @dataclass(frozen=True)
 class ConvLayerSpec:
@@ -139,9 +144,9 @@ class ArchSpec:
 
     vgg-cnn: `layers` is the fixed four-conv stack and `pooling` is
     required. musicnn-frontend: `layers` run in parallel on the input,
-    `backend_layers` (possibly empty) run sequentially afterwards with
-    frequency collapsed, and `segment_frames` is the model's input width.
-    output_tags=None drops the final tag-projection term.
+    `backend_layers` run sequentially afterwards with frequency
+    collapsed, and `segment_frames` is the model's input width. Both end
+    in a projection onto OUTPUT_TAGS tags.
     """
 
     name: str
@@ -149,7 +154,6 @@ class ArchSpec:
     pooling: PoolingPlan | None = None
     backend_layers: tuple[ConvLayerSpec, ...] = ()
     segment_frames: int | None = None
-    output_tags: int | None = 50
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -158,8 +162,6 @@ class ArchSpec:
             raise ValueError(f"name must be one of {ARCH_NAMES}, got {self.name!r}")
         if not self.layers:
             raise ValueError("layers must not be empty")
-        if self.output_tags is not None and self.output_tags < 1:
-            raise ValueError(f"output_tags must be >= 1 or None, got {self.output_tags}")
         if self.name == "vgg-cnn":
             if self.pooling is None:
                 raise ValueError("vgg-cnn requires a pooling plan")
@@ -238,12 +240,12 @@ def vgg_pooling_plan(n_mels: int, hop_multiplier: int, sample_rate: int) -> Pool
     )
 
 
-def vgg_arch(pooling: PoolingPlan, output_tags: int | None = 50) -> ArchSpec:
+def vgg_arch(pooling: PoolingPlan) -> ArchSpec:
     """The fixed four-block 3x3 stack with the given pooling plan."""
     layers = tuple(
         ConvLayerSpec(VGG_FILTER, VGG_FILTER, channels) for channels in VGG_CHANNELS
     )
-    return ArchSpec(name="vgg-cnn", layers=layers, pooling=pooling, output_tags=output_tags)
+    return ArchSpec(name="vgg-cnn", layers=layers, pooling=pooling)
 
 
 def musicnn_filter_heights(n_mels: int) -> tuple[int, int]:
@@ -254,48 +256,38 @@ def musicnn_filter_heights(n_mels: int) -> tuple[int, int]:
 
 
 def musicnn_frontend_spec(
-    n_mels: int,
-    sample_rate: int = 16000,
-    hop_multiplier: int = 1,
-    filters_per_shape: int = MUSICNN_FILTERS_PER_SHAPE,
-    backend_layers: tuple[ConvLayerSpec, ...] | None = None,
-    output_tags: int | None = 50,
+    n_mels: int, sample_rate: int = 16000, hop_multiplier: int = 1
 ) -> ArchSpec:
     """Front-end filter bank derived from the mel count.
 
     Timbre filters span 40% and 90% of the mel rows at widths 1/3/7
     (valid padding: they slide only inside the input); temporal filters
-    are 1-row at widths 32/64/128/165 (same padding). The model consumes
-    3-second segments, so segment_frames follows the hop. backend_layers
-    defaults to three 1x7 conv layers at 512 channels; pass () to model
-    the front-end alone.
+    are 1-row at widths 32/64/128/165 (same padding); each shape has 51
+    filters. The back-end is three 1x7 conv layers at 512 channels. The
+    model consumes 3-second segments, so segment_frames follows the hop.
     """
     h90, h40 = musicnn_filter_heights(n_mels)
-    if filters_per_shape < 1:
-        raise ValueError(f"filters_per_shape must be >= 1, got {filters_per_shape}")
     layers = [
-        ConvLayerSpec(height, width, filters_per_shape, padding="valid")
+        ConvLayerSpec(height, width, MUSICNN_FILTERS_PER_SHAPE, padding="valid")
         for height in (h40, h90)
         for width in MUSICNN_TIMBRE_WIDTHS
     ]
     layers += [
-        ConvLayerSpec(1, width, filters_per_shape, padding="same")
+        ConvLayerSpec(1, width, MUSICNN_FILTERS_PER_SHAPE, padding="same")
         for width in MUSICNN_TEMPORAL_WIDTHS
     ]
-    if backend_layers is None:
-        backend_layers = tuple(
-            ConvLayerSpec(1, 7, MUSICNN_BACKEND_CHANNELS, padding="same")
-            for _ in range(MUSICNN_BACKEND_DEPTH)
-        )
+    backend_layers = tuple(
+        ConvLayerSpec(1, 7, MUSICNN_BACKEND_CHANNELS, padding="same")
+        for _ in range(MUSICNN_BACKEND_DEPTH)
+    )
     segment_frames = frame_count(
         round(MUSICNN_SEGMENT_SECONDS * sample_rate), 256 * hop_multiplier
     )
     return ArchSpec(
         name="musicnn-frontend",
         layers=tuple(layers),
-        backend_layers=tuple(backend_layers),
+        backend_layers=backend_layers,
         segment_frames=segment_frames,
-        output_tags=output_tags,
     )
 
 
@@ -312,16 +304,45 @@ def _conv_output(freq: int, time: int, layer: ConvLayerSpec, label: str) -> tupl
     return out_freq, out_time
 
 
-def _walk_vgg(arch: ArchSpec, input_freq: int, input_time: int):
-    """Shared stack walker: stage shapes plus per-layer conv output dims."""
+def _walk(arch: ArchSpec, input_freq: int, input_time: int):
+    """The one pass over an architecture that shapes and costs both read.
+
+    Returns the (freq, time, channels) stages with their labels, and one
+    (name, macs, approximate) record per conv layer plus the final tag
+    projection. An architecture without a pooling plan (musicnn-frontend)
+    first runs its `layers` in parallel on the input and collapses
+    frequency; the sequential part (vgg-cnn's `layers` with their block
+    pools, musicnn-frontend's unpooled back-end) follows. Everything after
+    the parallel front-end is an approximation.
+    """
+    if input_freq < 1 or input_time < 1:
+        raise ValueError(f"input dims must be >= 1, got {input_freq}x{input_time}")
     freq, time, channels = input_freq, input_time, 1
     stages = [(freq, time, channels)]
     labels = ["input"]
-    conv_dims = []
-    pools = zip(arch.pooling.freq_pools, arch.pooling.time_pools)
-    for i, (layer, (pool_f, pool_t)) in enumerate(zip(arch.layers, pools), start=1):
-        out_f, out_t = _conv_output(freq, time, layer, f"conv{i}")
-        conv_dims.append((out_f, out_t, channels, layer.out_channels))
+    records = []
+
+    def conv(name, layer, approximate):
+        """Record one conv applied at the current (freq, time, channels)."""
+        out_f, out_t = _conv_output(freq, time, layer, name)
+        weights = layer.filter_freq * layer.filter_time * channels * layer.out_channels
+        records.append((name, weights * out_f * out_t, approximate))
+        return out_f, out_t
+
+    parallel = arch.pooling is None
+    if parallel:
+        for layer in arch.layers:
+            conv(f"front_{layer.filter_freq}x{layer.filter_time}", layer, False)
+        freq, channels = 1, sum(layer.out_channels for layer in arch.layers)
+        stages.append((freq, time, channels))
+        labels.append("frontend-concat")
+        prefix, sequence = "backend", arch.backend_layers
+        pools = itertools.repeat((1, 1))
+    else:
+        prefix, sequence = "conv", arch.layers
+        pools = zip(arch.pooling.freq_pools, arch.pooling.time_pools)
+    for i, (layer, (pool_f, pool_t)) in enumerate(zip(sequence, pools), start=1):
+        out_f, out_t = conv(f"{prefix}{i}", layer, parallel)
         channels = layer.out_channels
         freq, time = out_f // pool_f, out_t // pool_t
         if freq < 1 or time < 1:
@@ -330,30 +351,9 @@ def _walk_vgg(arch: ArchSpec, input_freq: int, input_time: int):
                 f"{out_f}x{out_t} feature map"
             )
         stages.append((freq, time, channels))
-        labels.append(f"conv{i}")
-    return stages, labels, conv_dims, (freq, time, channels)
-
-
-def _walk_musicnn(arch: ArchSpec, input_freq: int, input_time: int):
-    """Parallel front-end, frequency collapse, then the sequential back-end."""
-    branch_dims = []
-    for layer in arch.layers:
-        shape = f"{layer.filter_freq}x{layer.filter_time}"
-        out_f, out_t = _conv_output(input_freq, input_time, layer, f"front_{shape}")
-        branch_dims.append((out_f, out_t, 1, layer.out_channels))
-    channels = sum(layer.out_channels for layer in arch.layers)
-    stages = [(input_freq, input_time, 1), (1, input_time, channels)]
-    labels = ["input", "frontend-concat"]
-    freq, time = 1, input_time
-    backend_dims = []
-    for i, layer in enumerate(arch.backend_layers, start=1):
-        out_f, out_t = _conv_output(freq, time, layer, f"backend{i}")
-        backend_dims.append((out_f, out_t, channels, layer.out_channels))
-        channels = layer.out_channels
-        freq, time = out_f, out_t
-        stages.append((freq, time, channels))
-        labels.append(f"backend{i}")
-    return stages, labels, branch_dims, backend_dims, (freq, time, channels)
+        labels.append(f"{prefix}{i}")
+    records.append(("output", channels * OUTPUT_TAGS, parallel))
+    return stages, labels, records
 
 
 def propagate_shapes(arch: ArchSpec, input_freq: int, input_time: int) -> ShapeTrace:
@@ -363,14 +363,8 @@ def propagate_shapes(arch: ArchSpec, input_freq: int, input_time: int) -> ShapeT
     the declared stages end above 1x1, a terminal global pool stage is
     appended and flagged via used_global_pool.
     """
-    if input_freq < 1 or input_time < 1:
-        raise ValueError(f"input dims must be >= 1, got {input_freq}x{input_time}")
-    if arch.name == "vgg-cnn":
-        stages, labels, _, (freq, time, channels) = _walk_vgg(arch, input_freq, input_time)
-    else:
-        stages, labels, _, _, (freq, time, channels) = _walk_musicnn(
-            arch, input_freq, input_time
-        )
+    stages, labels, _ = _walk(arch, input_freq, input_time)
+    freq, time, channels = stages[-1]
     used_global_pool = freq > 1 or time > 1
     if used_global_pool:
         stages.append((1, 1, channels))
@@ -378,9 +372,7 @@ def propagate_shapes(arch: ArchSpec, input_freq: int, input_time: int) -> ShapeT
     return ShapeTrace(tuple(stages), tuple(labels), used_global_pool)
 
 
-def count_macs(
-    arch: ArchSpec, input_freq: int, input_time: int, bytes_per_value: int = 4
-) -> CostReport:
+def count_macs(arch: ArchSpec, input_freq: int, input_time: int) -> CostReport:
     """MAC counts per layer for one example of the given input size.
 
     Conv MACs are filter_freq * filter_time * in_channels * out_channels
@@ -389,46 +381,14 @@ def count_macs(
     last channel count. feature_bytes is the stored size of the input
     feature matrix (container header included).
     """
-    if input_freq < 1 or input_time < 1:
-        raise ValueError(f"input dims must be >= 1, got {input_freq}x{input_time}")
-    if bytes_per_value < 1:
-        raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
-    names: list[str] = []
-    macs: list[int] = []
-    approximate: list[str] = []
-    if arch.name == "vgg-cnn":
-        _, _, conv_dims, (_, _, last_channels) = _walk_vgg(arch, input_freq, input_time)
-        for i, (layer, (out_f, out_t, in_ch, out_ch)) in enumerate(
-            zip(arch.layers, conv_dims), start=1
-        ):
-            names.append(f"conv{i}")
-            macs.append(layer.filter_freq * layer.filter_time * in_ch * out_ch * out_f * out_t)
-    else:
-        _, _, branch_dims, backend_dims, (_, _, last_channels) = _walk_musicnn(
-            arch, input_freq, input_time
-        )
-        for layer, (out_f, out_t, in_ch, out_ch) in zip(arch.layers, branch_dims):
-            names.append(f"front_{layer.filter_freq}x{layer.filter_time}")
-            macs.append(layer.filter_freq * layer.filter_time * in_ch * out_ch * out_f * out_t)
-        for i, (layer, (out_f, out_t, in_ch, out_ch)) in enumerate(
-            zip(arch.backend_layers, backend_dims), start=1
-        ):
-            name = f"backend{i}"
-            names.append(name)
-            approximate.append(name)
-            macs.append(layer.filter_freq * layer.filter_time * in_ch * out_ch * out_f * out_t)
-    if arch.output_tags is not None:
-        names.append("output")
-        macs.append(last_channels * arch.output_tags)
-        if arch.name == "musicnn-frontend":
-            # rides on the approximate back-end channel count
-            approximate.append("output")
+    _, _, records = _walk(arch, input_freq, input_time)
+    names, macs, approximate = zip(*records)
     return CostReport(
-        layer_names=tuple(names),
-        per_layer_macs=tuple(macs),
+        layer_names=names,
+        per_layer_macs=macs,
         total_macs=sum(macs),
-        feature_bytes=input_freq * input_time * bytes_per_value + MSPEC_HEADER_SIZE,
-        approximate_layers=tuple(approximate),
+        feature_bytes=mspec_size(input_freq, input_time),
+        approximate_layers=tuple(itertools.compress(names, approximate)),
     )
 
 
@@ -448,10 +408,7 @@ def filter_extent(filter_freq: int, filter_time: int, config: MelConfig) -> tupl
 def _entry_for_config(arch_name: str, config: MelConfig) -> CostReport:
     if arch_name == "vgg-cnn":
         plan = vgg_pooling_plan(config.n_mels, config.hop_multiplier, config.sample_rate)
-        if config.target_frames is not None:
-            frames = config.target_frames
-        else:
-            frames = benchmark_frames(config.sample_rate, config.hop_multiplier)
+        frames = benchmark_frames(config.sample_rate, config.hop_multiplier)
         return count_macs(vgg_arch(plan), config.n_mels, frames)
     spec = musicnn_frontend_spec(
         config.n_mels, config.sample_rate, config.hop_multiplier
@@ -462,11 +419,10 @@ def _entry_for_config(arch_name: str, config: MelConfig) -> CostReport:
 def grid_cost_sweep(arch_name: str, configs) -> list[SweepEntry]:
     """Cost one architecture across many configs; errors stay inline.
 
-    VGG rows use the benchmark segment width for the config (or its
-    target_frames); MUSICNN rows use the 3-second segment width. A config
-    that cannot be costed produces an entry with report=None and the
-    error message; the sweep never aborts, and output order follows input
-    order.
+    VGG rows use the benchmark segment width for the config; MUSICNN
+    rows use the 3-second segment width. A config that cannot be costed
+    produces an entry with report=None and the error message; the sweep
+    never aborts, and output order follows input order.
     """
     if arch_name not in ARCH_NAMES:
         raise ValueError(f"arch_name must be one of {ARCH_NAMES}, got {arch_name!r}")

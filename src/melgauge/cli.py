@@ -12,7 +12,7 @@ All report output is deterministic: rows are sorted by (sample_rate,
 n_mels descending, hop ascending, compression) and floats are formatted
 at 6 significant digits.
 Selectors default to the benchmark grid; off-grid values are honored
-with a warning unless --grid-strict is given.
+with a `warning: ...` line on stderr unless --grid-strict is given.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from . import dsp
 from .arch import ARCH_NAMES, grid_cost_sweep, vgg_pooling_plan
 from .exceptions import (
     EmptySummaryError,
+    GridWarning,
     MelGaugeError,
     OutputPathError,
     SchemaError,
@@ -36,12 +37,11 @@ from .exceptions import (
 )
 from .mel import (
     COMPRESSIONS,
-    GRID_BASE_HOP_MELS,
-    GRID_FULL_HOP_MELS,
-    GRID_HOP_MULTIPLIERS,
+    GRID_MELS,
     GRID_SAMPLE_RATES,
     MelConfig,
     benchmark_frames,
+    grid_hops,
     is_grid_config,
     mel_spectrogram,
     write_mspec,
@@ -50,8 +50,6 @@ from .metrics import load_tag_table, macro_summary
 from .reference import SOURCE_LABEL, published_for_config
 
 __all__ = ["main"]
-
-_GRID_MELS = GRID_FULL_HOP_MELS + GRID_BASE_HOP_MELS
 
 
 def _fmt(value: float) -> str:
@@ -105,37 +103,30 @@ def _emit(rows: list[dict], columns, args) -> None:
 def _select_configs(args) -> list[MelConfig]:
     """Expand selector flags into deduplicated configurations in report order.
 
-    Defaults reproduce the benchmark grid (mel counts below 48 only at
-    the base hop). Explicit flag values are honored verbatim, which can
-    leave the grid; each off-grid config warns on construction. Repeated
-    values count once. Report order is sample rate, mel count descending,
-    hop, compression.
+    Defaults reproduce the benchmark grid (grid_hops per mel count, which
+    gives off-grid mel counts the base hop). Explicit flag values are
+    honored verbatim, which can leave the grid; each off-grid config warns
+    on construction, and with --grid-strict the first off-grid cell is an
+    error before any config is built. Repeated values count once. Report
+    order is sample rate, mel count descending, hop, compression.
     """
     rates = args.sample_rate or GRID_SAMPLE_RATES
-    mels = args.mels or _GRID_MELS
+    mels = args.mels or GRID_MELS
     comps = dict.fromkeys(args.compression or COMPRESSIONS)
     configs: list[MelConfig] = []
     for rate in sorted(set(rates)):
         for mel_count in sorted(set(mels), reverse=True):
-            if args.hop_mult:
-                hops = sorted(set(args.hop_mult))
-            elif mel_count in GRID_FULL_HOP_MELS:
-                hops = list(GRID_HOP_MULTIPLIERS)
-            else:
-                hops = [1]  # grid restriction, also the off-grid default
+            hops = sorted(set(args.hop_mult)) if args.hop_mult else grid_hops(mel_count)
             for hop in hops:
                 for comp in comps:
+                    if args.grid_strict and not is_grid_config(rate, mel_count, hop):
+                        raise UnsupportedConfigError(
+                            f"--grid-strict: {rate}Hz-{mel_count}mel-x{hop}-{comp} "
+                            "is outside the benchmark grid"
+                        )
                     configs.append(
                         MelConfig(rate, mel_count, hop_multiplier=hop, compression=comp)
                     )
-    if args.grid_strict:
-        for config in configs:
-            if not is_grid_config(
-                config.sample_rate, config.n_mels, config.hop_multiplier
-            ):
-                raise UnsupportedConfigError(
-                    f"--grid-strict: {config.config_id} is outside the benchmark grid"
-                )
     # Compressions were taken in flag order, so the strict check names the
     # first offender as the command line gives it; sort only afterwards.
     configs.sort(key=lambda c: (c.sample_rate, -c.n_mels, c.hop_multiplier, c.compression))
@@ -449,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--compression", choices=COMPRESSIONS, default="dB",
                            help="magnitude compression (default: dB)")
     p_extract.add_argument("--out-dir", required=True, help="output directory")
-    p_extract.add_argument("--input-rate", type=int,
+    p_extract.add_argument("--input-rate", type=_positive_int,
                            help="sample rate of raw float32 inputs (default: analysis rate)")
     p_extract.set_defaults(func=cmd_extract)
 
@@ -461,9 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.set_defaults(func=cmd_cost)
 
     p_adapt = sub.add_parser("adapt", help="pooling plan for one configuration")
-    p_adapt.add_argument("--mels", type=int, required=True, help="mel band count")
-    p_adapt.add_argument("--hop-mult", type=int, required=True, help="hop multiplier")
-    p_adapt.add_argument("--sample-rate", type=int, required=True, help="sample rate in Hz")
+    p_adapt.add_argument("--mels", type=_positive_int, required=True, help="mel band count")
+    p_adapt.add_argument("--hop-mult", type=_positive_int, required=True,
+                         help="hop multiplier")
+    p_adapt.add_argument("--sample-rate", type=_positive_int, required=True,
+                         help="sample rate in Hz")
     _add_output_flags(p_adapt, default_format="text", choices=("text", "json"))
     p_adapt.set_defaults(func=cmd_adapt)
 
@@ -488,14 +481,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a GridWarning as a `warning: ...` line; others as Python does."""
+    if issubclass(category, GridWarning):
+        text = f"warning: {message}\n"
+    else:
+        text = warnings.formatwarning(message, category, filename, lineno, line)
+    (file or sys.stderr).write(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UnsupportedConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MelGaugeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except UnsupportedConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MelGaugeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1

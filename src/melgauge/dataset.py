@@ -16,11 +16,10 @@ import operator
 from dataclasses import dataclass
 
 from .exceptions import ManifestParseError, UnsupportedLayoutError
-from .mel import MSPEC_HEADER_SIZE, MelConfig
+from .mel import MelConfig, mspec_size
 
 __all__ = [
     "MTAT_FOLDERS",
-    "SPLIT_SCHEMES",
     "ManifestItem",
     "DatasetManifest",
     "SplitAssignment",
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 MTAT_FOLDERS = tuple("0123456789abcdef")
-SPLIT_SCHEMES = ("mtat-12-1-3",)
 _TRAIN_FOLDERS = frozenset(MTAT_FOLDERS[:12])
 _VALID_FOLDERS = frozenset(MTAT_FOLDERS[12:13])
 _TEST_FOLDERS = frozenset(MTAT_FOLDERS[13:])
@@ -171,7 +169,7 @@ def parse_annotations(path) -> DatasetManifest:
     return DatasetManifest(items=tuple(items), tag_names=tag_names)
 
 
-def canonical_split(manifest: DatasetManifest, scheme: str = "mtat-12-1-3") -> SplitAssignment:
+def canonical_split(manifest: DatasetManifest) -> SplitAssignment:
     """Assign items to train/valid/test by the 16-folder convention.
 
     The convention names folders "0".."9","a".."f"; in lexicographic
@@ -180,8 +178,6 @@ def canonical_split(manifest: DatasetManifest, scheme: str = "mtat-12-1-3") -> S
     just contributes nothing. A folder outside the convention means the
     layout is not the expected one and raises UnsupportedLayoutError.
     """
-    if scheme not in SPLIT_SCHEMES:
-        raise ValueError(f"unknown split scheme {scheme!r}, supported: {SPLIT_SCHEMES}")
     train: set[str] = set()
     valid: set[str] = set()
     test: set[str] = set()
@@ -234,10 +230,8 @@ def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
     return DatasetManifest(items=new_items, tag_names=new_names)
 
 
-def storage_size(config: MelConfig, n_frames: int, bytes_per_value: int = 4) -> int:
-    """Stored size in bytes of one feature file: payload plus header."""
+def storage_size(config: MelConfig, n_frames: int) -> int:
+    """Stored size in bytes of one feature file: float32 payload plus header."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if bytes_per_value < 1:
-        raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
-    return config.n_mels * n_frames * bytes_per_value + MSPEC_HEADER_SIZE
+    return mspec_size(config.n_mels, n_frames)

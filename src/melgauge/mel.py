@@ -1,10 +1,11 @@
 """Mel-spectrogram front-end with a fixed benchmark configuration grid.
 
 The front-end is intentionally rigid: 512-sample frames, a base hop of
-256 samples scaled by an integer multiplier, Slaney-style mel filters,
-and one of two magnitude compressions. The benchmark grid enumerates the
-(sample rate, mel count, hop, compression) combinations the cost and
-quality tooling in the rest of the package understands.
+256 samples scaled by an integer multiplier, Slaney-style mel filters
+from 0 Hz to Nyquist, and one of two magnitude compressions. A MelConfig
+sets only the four things the benchmark varies (sample rate, mel count,
+hop multiplier, compression); the grid enumerates the combinations the
+cost and quality tooling in the rest of the package understands.
 
 Spectrograms round-trip through a small binary container (magic
 "MSPEC1"), a 40-byte little-endian header followed by row-major float32
@@ -32,6 +33,7 @@ __all__ = [
     "LOG_COMPRESSION_GAIN",
     "COMPRESSIONS",
     "MSPEC_HEADER_SIZE",
+    "mspec_size",
     "MelConfig",
     "MelFilterbank",
     "MelSpectrogram",
@@ -41,6 +43,7 @@ __all__ = [
     "compress_db",
     "compress_log",
     "mel_spectrogram",
+    "grid_hops",
     "is_grid_config",
     "enumerate_grid",
     "benchmark_frames",
@@ -63,6 +66,7 @@ GRID_SAMPLE_RATES = (12000, 16000)
 GRID_FULL_HOP_MELS = (128, 96, 48)  # all hop multipliers allowed
 GRID_BASE_HOP_MELS = (32, 24, 16, 8)  # base hop only
 GRID_HOP_MULTIPLIERS = (1, 2, 3, 4, 5, 10)
+GRID_MELS = GRID_FULL_HOP_MELS + GRID_BASE_HOP_MELS
 
 # Slaney mel scale: linear below 1000 Hz (200/3 Hz per mel), logarithmic
 # above, with 27 mels spanning each factor of 6.4 in frequency.
@@ -98,36 +102,37 @@ def mel_to_hz_slaney(mel):
     return float(f) if np.isscalar(mel) else f
 
 
+def grid_hops(n_mels: int) -> tuple[int, ...]:
+    """Hop multipliers the grid pairs with a mel count: all from 48 mels up, else x1."""
+    return GRID_HOP_MULTIPLIERS if n_mels in GRID_FULL_HOP_MELS else (1,)
+
+
 def is_grid_config(sample_rate: int, n_mels: int, hop_multiplier: int) -> bool:
     """True when the triple is a cell of the benchmark grid."""
-    if sample_rate not in GRID_SAMPLE_RATES:
-        return False
-    if n_mels in GRID_FULL_HOP_MELS:
-        return hop_multiplier in GRID_HOP_MULTIPLIERS
-    if n_mels in GRID_BASE_HOP_MELS:
-        return hop_multiplier == 1
-    return False
+    return (
+        sample_rate in GRID_SAMPLE_RATES
+        and n_mels in GRID_MELS
+        and hop_multiplier in grid_hops(n_mels)
+    )
 
 
 @dataclass(frozen=True)
 class MelConfig:
-    """Front-end configuration.
+    """Front-end configuration: one cell of the benchmark grid, or an off-grid one.
 
-    fmax defaults to the Nyquist frequency. target_frames, when set,
-    right-crops or right-pads the compressed output to a fixed width so
-    downstream models see a constant input size. Configurations outside
-    the benchmark grid are allowed but emit GridWarning; the CLI can
-    escalate that to an error.
+    Every configuration analyses 512-sample frames with filters from 0 Hz
+    to Nyquist (frame_size, fmin and fmax are constants, not fields).
+    Configurations outside the benchmark grid are allowed but emit
+    GridWarning; the CLI can escalate that to an error.
     """
 
     sample_rate: int
     n_mels: int
     hop_multiplier: int = 1
     compression: str = "dB"
-    frame_size: int = 512
-    fmin: float = 0.0
-    fmax: float | None = None
-    target_frames: int | None = None
+
+    frame_size = 512
+    fmin = 0.0
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
@@ -140,35 +145,20 @@ class MelConfig:
             raise ValueError(
                 f"compression must be one of {COMPRESSIONS}, got {self.compression!r}"
             )
-        if self.frame_size <= 0 or self.frame_size % 2 != 0:
-            raise ValueError(f"frame_size must be positive and even, got {self.frame_size}")
-        if self.fmax is None:
-            object.__setattr__(self, "fmax", self.sample_rate / 2.0)
-        if self.fmax > self.sample_rate / 2.0:
-            raise ValueError(f"fmax {self.fmax} exceeds Nyquist {self.sample_rate / 2.0}")
-        if not 0.0 <= self.fmin < self.fmax:
-            raise ValueError(f"need 0 <= fmin < fmax, got fmin={self.fmin} fmax={self.fmax}")
-        if self.target_frames is not None and self.target_frames < 1:
-            raise ValueError(f"target_frames must be >= 1, got {self.target_frames}")
-        # Benchmark cells use the default analysis parameters; any deviation
-        # is allowed but flagged. target_frames is an output-shape knob and
-        # does not affect grid membership.
-        standard_analysis = (
-            self.frame_size == 512
-            and self.fmin == 0.0
-            and self.fmax == self.sample_rate / 2.0
-        )
-        if not (
-            standard_analysis
-            and is_grid_config(self.sample_rate, self.n_mels, self.hop_multiplier)
-        ):
+        if not is_grid_config(self.sample_rate, self.n_mels, self.hop_multiplier):
+            # Level 3 skips the generated __init__ and names the caller.
             warnings.warn(
                 f"config ({self.sample_rate} Hz, {self.n_mels} mels, "
                 f"x{self.hop_multiplier}, frame {self.frame_size}, "
                 f"{self.fmin:g}-{self.fmax:g} Hz) is outside the benchmark grid",
                 GridWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
+
+    @property
+    def fmax(self) -> float:
+        """Upper filter edge: the Nyquist frequency."""
+        return self.sample_rate / 2.0
 
     @property
     def hop(self) -> int:
@@ -221,18 +211,15 @@ def mel_filterbank(config: MelConfig) -> MelFilterbank:
         first = int(np.flatnonzero(dead)[0])
         raise DegenerateFilterbankError(
             f"filter {first} (center {float(hz_points[first + 1]):.1f} Hz) has no "
-            f"support on the {config.frame_size}-point bin grid; reduce n_mels "
-            f"or increase frame_size"
+            f"support on the {config.frame_size}-point bin grid; reduce n_mels"
         )
     return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1].copy())
 
 
-def compress_db(power, floor_eps: float = DB_FLOOR_EPS):
-    """Power to decibels: 10*log10(max(x, floor_eps)), elementwise."""
-    if floor_eps <= 0:
-        raise ValueError(f"floor_eps must be positive, got {floor_eps}")
+def compress_db(power):
+    """Power to decibels: 10*log10(max(x, 1e-10)), elementwise."""
     x = np.asarray(power, dtype=np.float64)
-    out = np.maximum(x, floor_eps, out=np.empty(x.shape))
+    out = np.maximum(x, DB_FLOOR_EPS, out=np.empty(x.shape))
     np.log10(out, out=out)
     out *= 10.0
     return float(out) if np.isscalar(power) else out
@@ -249,13 +236,13 @@ def compress_log(power):
     return float(out) if np.isscalar(power) else out
 
 
-# Filterbanks built so far, keyed on what mel_filterbank reads from a config.
-_filterbanks: dict[tuple, MelFilterbank] = {}
+# Filterbanks built so far, keyed on (sample rate, mel count).
+_filterbanks: dict[tuple[int, int], MelFilterbank] = {}
 
 
 def _cached_filterbank(config: MelConfig) -> MelFilterbank:
     """mel_filterbank(config), built once per process and held read-only."""
-    key = (config.sample_rate, config.n_mels, config.frame_size, config.fmin, config.fmax)
+    key = (config.sample_rate, config.n_mels)
     fb = _filterbanks.get(key)
     if fb is None:  # two threads may both build it; either result is the same
         fb = mel_filterbank(config)
@@ -328,10 +315,8 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     """Compressed mel spectrogram of audio under the given config.
 
     The audio must already be at config.sample_rate; resample first if it
-    is not. Framing is center-reflect on the 256 * hop_multiplier grid.
-    When config.target_frames is set the output is right-cropped or
-    right-padded to that width; padding uses the compressed value of
-    silence (0 for log, the dB floor for dB).
+    is not. Framing is center-reflect on the 256 * hop_multiplier grid,
+    so n samples give frame_count(n, hop) frames.
 
     Repeated calls on one buffer share work: the spectrum of the latest
     buffer is held while that buffer lives and sliced for any hop that is
@@ -346,15 +331,6 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     grid = FrameGrid(frame_size=config.frame_size, hop=config.hop)
     fb = _cached_filterbank(config)
     values = _compress(fb.weights @ _power_bins(audio, grid), config.compression)
-    if config.target_frames is not None and values.shape[1] != config.target_frames:
-        if values.shape[1] > config.target_frames:
-            values = values[:, : config.target_frames]
-        else:
-            pad_value = _compress(np.float64(0.0), config.compression)
-            pad = np.full(
-                (config.n_mels, config.target_frames - values.shape[1]), pad_value
-            )
-            values = np.concatenate([values, pad], axis=1)
     return MelSpectrogram(values=values, config=config)
 
 
@@ -363,26 +339,23 @@ def enumerate_grid() -> list[MelConfig]:
 
     Order: sample rate (12 then 16 kHz), compression (log then dB), mel
     count descending, hop ascending. Mel counts below 48 exist at the
-    base hop only.
+    base hop only (grid_hops).
     """
-    configs = []
-    for sample_rate in GRID_SAMPLE_RATES:
-        for compression in COMPRESSIONS:
-            for n_mels in GRID_FULL_HOP_MELS:
-                for hop_multiplier in GRID_HOP_MULTIPLIERS:
-                    configs.append(
-                        MelConfig(sample_rate, n_mels, hop_multiplier, compression)
-                    )
-            for n_mels in GRID_BASE_HOP_MELS:
-                configs.append(MelConfig(sample_rate, n_mels, 1, compression))
-    return configs
+    return [
+        MelConfig(sample_rate, n_mels, hop_multiplier, compression)
+        for sample_rate in GRID_SAMPLE_RATES
+        for compression in COMPRESSIONS
+        for n_mels in GRID_MELS
+        for hop_multiplier in grid_hops(n_mels)
+    ]
 
 
 # Frame counts of the standard 29.1 s benchmark segment for each grid cell.
 # The 12 kHz column equals frame_count(349440, hop); the 16 kHz column is
 # carried as published reference data (it reflects a slightly different
-# edge convention) and is exactly what the pooling plans below are sized
-# for. Use MelConfig.target_frames to pin extraction output to these.
+# edge convention) and is exactly what the pooling plans in arch are
+# sized for. Extraction does not crop or pad to these: a clip of n
+# samples gives frame_count(n, hop) frames.
 BENCHMARK_FRAMES = {
     12000: {1: 1366, 2: 683, 3: 456, 4: 342, 5: 274, 10: 137},
     16000: {1: 1820, 2: 910, 3: 607, 4: 455, 5: 364, 10: 182},
@@ -395,8 +368,7 @@ def benchmark_frames(sample_rate: int, hop_multiplier: int) -> int:
         return BENCHMARK_FRAMES[sample_rate][hop_multiplier]
     except KeyError:
         raise ValueError(
-            f"no benchmark frame count for ({sample_rate} Hz, x{hop_multiplier}); "
-            "set target_frames explicitly"
+            f"no benchmark frame count for ({sample_rate} Hz, x{hop_multiplier})"
         ) from None
 
 
@@ -411,6 +383,11 @@ MSPEC_HEADER_SIZE = _MSPEC_HEADER.size  # 40
 _COMPRESSION_CODES = {"dB": 0, "log": 1}
 _COMPRESSION_NAMES = {code: name for name, code in _COMPRESSION_CODES.items()}
 _DTYPE_FLOAT32 = 0
+
+
+def mspec_size(n_mels: int, n_frames: int) -> int:
+    """Bytes of the container for an (n_mels, n_frames) spectrogram."""
+    return n_mels * n_frames * 4 + MSPEC_HEADER_SIZE
 
 
 def write_mspec(path, mel: MelSpectrogram) -> int:
@@ -474,6 +451,10 @@ def read_mspec(path) -> MelSpectrogram:
             raise MspecFormatError(
                 f"{path}: hop {hop_samples} is not a multiple of {REFERENCE_HOP}"
             )
+        if frame_size != MelConfig.frame_size:
+            raise MspecFormatError(
+                f"{path}: frame_size {frame_size} is not {MelConfig.frame_size}"
+            )
         payload = fh.read(4 * n_mels * n_frames)
         trailing = fh.read(1)
     if len(payload) != 4 * n_mels * n_frames:
@@ -490,7 +471,6 @@ def read_mspec(path) -> MelSpectrogram:
                 n_mels=n_mels,
                 hop_multiplier=hop_samples // REFERENCE_HOP,
                 compression=_COMPRESSION_NAMES[compression_code],
-                frame_size=frame_size,
             )
         except ValueError as exc:
             raise MspecFormatError(f"{path}: bad header: {exc}") from None

@@ -143,12 +143,14 @@ class TestCost:
         approx_col = header.index("approximate")
         assert rows[0][approx_col] == "backend1;backend2;backend3;output"
 
-    @pytest.mark.filterwarnings("ignore::melgauge.exceptions.GridWarning")
     def test_grid_strict_rejects_off_grid(self, capsys):
         code = main(["cost", "--mels", "64", "--grid-strict"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "outside the benchmark grid" in captured.err
+        # the cell is checked before its config is built, so no warning
+        assert captured.err == (
+            "error: --grid-strict: 12000Hz-64mel-x1-log is outside the benchmark grid\n"
+        )
 
     def test_deterministic_bytes(self, capsys):
         main(["cost", "--sample-rate", "12000"])
@@ -380,15 +382,20 @@ class TestExtract:
         ("extract", "--mels", "0"),
         ("extract", "--hop-mult", "0"),
         ("extract", "--sample-rate", "twelve"),
+        ("extract", "--input-rate", "0"),
+        ("adapt", "--hop-mult", "-1"),
     ],
 )
 def test_non_positive_selector_is_a_usage_error(command, flag, value, tmp_path, capsys, tone_wav):
     out_dir = tmp_path / "feats"
     argv = [command, flag, value]
+    required = {
+        "extract": {"--sample-rate": "12000", "--mels": "96"},
+        "adapt": {"--sample-rate": "12000", "--mels": "96", "--hop-mult": "1"},
+    }.get(command, {})
+    required.pop(flag, None)
+    argv += [item for pair in required.items() for item in pair]
     if command == "extract":
-        required = {"--sample-rate": "12000", "--mels": "96"}
-        required.pop(flag, None)
-        argv += [item for pair in required.items() for item in pair]
         argv += ["--out-dir", str(out_dir), str(tone_wav)]
     with pytest.raises(SystemExit) as info:
         main(argv)

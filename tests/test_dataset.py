@@ -178,11 +178,6 @@ class TestCanonicalSplit:
         with pytest.raises(UnsupportedLayoutError, match="'g'"):
             canonical_split(parse_annotations(path))
 
-    def test_unknown_scheme(self, tmp_path):
-        manifest = parse_annotations(small_fixture(tmp_path))
-        with pytest.raises(ValueError):
-            canonical_split(manifest, scheme="gtzan")
-
     def test_every_item_assigned_once(self, tmp_path):
         manifest = parse_annotations(sixteen_folder_fixture(tmp_path, per_folder=3))
         split = canonical_split(manifest)
@@ -253,31 +248,29 @@ class TestTopKTags:
 
 class TestStorageSize:
     def test_benchmark_cell(self):
-        assert storage_size(MelConfig(12000, 96), 1366, 4) == 524_584
+        assert storage_size(MelConfig(12000, 96), 1366) == 524_584
 
     def test_savings_cell(self):
-        assert storage_size(MelConfig(12000, 48, hop_multiplier=2), 683, 4) == 131_176
+        assert storage_size(MelConfig(12000, 48, hop_multiplier=2), 683) == 131_176
 
     def test_payload_reduction_is_exact(self):
-        full = storage_size(MelConfig(12000, 96), 1366, 4) - 40
-        lean = storage_size(MelConfig(12000, 48, hop_multiplier=2), 683, 4) - 40
+        full = storage_size(MelConfig(12000, 96), 1366) - 40
+        lean = storage_size(MelConfig(12000, 48, hop_multiplier=2), 683) - 40
         assert full / lean == 4.0
 
     def test_unit_case(self):
-        assert storage_size(MelConfig(12000, 8), 1, 1) == 48  # 8 rows, not 1
+        assert storage_size(MelConfig(12000, 8), 1) == 8 * 4 + 40  # 8 rows, not 1
 
     def test_payload_linear_in_frames(self):
         config = MelConfig(16000, 128)
-        one = storage_size(config, 100, 4) - 40
-        two = storage_size(config, 200, 4) - 40
+        one = storage_size(config, 100) - 40
+        two = storage_size(config, 200) - 40
         assert two == 2 * one
 
     def test_rejects_bad_args(self):
         config = MelConfig(12000, 96)
         with pytest.raises(ValueError):
-            storage_size(config, 0, 4)
-        with pytest.raises(ValueError):
-            storage_size(config, 10, 0)
+            storage_size(config, 0)
 
 
 class TestManifestValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import struct
@@ -149,8 +150,9 @@ def test_filterbank_first_center_frequency():
 
 
 def test_filterbank_degenerate_grid_raises():
+    # at 12 kHz the 512-point bin grid first leaves a filter empty at 233 mels
     with pytest.warns(GridWarning):
-        config = MelConfig(12000, 96, frame_size=32)
+        config = MelConfig(12000, 256)
     with pytest.raises(DegenerateFilterbankError):
         mel_filterbank(config)
 
@@ -162,9 +164,6 @@ def test_db_compression_anchors():
     assert compress_db(10.0) == pytest.approx(10.0, abs=1e-12)
     assert compress_db(0.0) == pytest.approx(-100.0, abs=1e-9)
     assert compress_db(1e-12) == pytest.approx(-100.0, abs=1e-9)  # clamped
-    assert compress_db(0.0, floor_eps=1e-6) == pytest.approx(-60.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        compress_db(1.0, floor_eps=0.0)
 
 
 def test_log_compression_anchors():
@@ -183,28 +182,11 @@ def test_compressions_preserve_order(rng):
 # ------------------------------------------------------------ spectrogram
 
 def test_mel_spectrogram_benchmark_shape():
-    config = MelConfig(12000, 96, 1, "dB", target_frames=1366)
+    # the 29.1 s benchmark segment lands on the benchmark frame count
     audio = AudioBuffer(np.zeros(349440), 12000)
-    spec = mel_spectrogram(audio, config)
-    assert spec.values.shape == (96, 1366)
-    # without the target the same audio already lands on 1366 frames
     spec = mel_spectrogram(audio, MelConfig(12000, 96, 1, "dB"))
-    assert spec.n_frames == frame_count(349440, 256)
-    assert spec.n_frames == 1366
-
-
-def test_mel_spectrogram_target_crop_and_pad():
-    audio = AudioBuffer(sine(1000.0, 12000), 12000)
-    natural = mel_spectrogram(audio, MelConfig(12000, 48)).n_frames
-    cropped = mel_spectrogram(audio, MelConfig(12000, 48, target_frames=natural - 5))
-    assert cropped.n_frames == natural - 5
-    padded_db = mel_spectrogram(audio, MelConfig(12000, 48, target_frames=natural + 5))
-    assert padded_db.n_frames == natural + 5
-    assert padded_db.values[:, -5:] == pytest.approx(compress_db(0.0), abs=0.0)
-    padded_log = mel_spectrogram(
-        audio, MelConfig(12000, 48, compression="log", target_frames=natural + 5)
-    )
-    assert np.all(padded_log.values[:, -5:] == 0.0)
+    assert spec.values.shape == (96, 1366)
+    assert spec.n_frames == frame_count(349440, 256) == benchmark_frames(12000, 1)
 
 
 def test_mel_spectrogram_zero_audio():
@@ -366,21 +348,16 @@ def test_config_validation():
         MelConfig(12000, 96, 0)
     with pytest.raises(ValueError):
         MelConfig(12000, 96, compression="mu-law")
-    with pytest.raises(ValueError):
-        MelConfig(12000, 96, frame_size=511)
-    with pytest.raises(ValueError):
-        MelConfig(12000, 96, fmax=6001.0)
-    with pytest.raises(ValueError):
-        MelConfig(12000, 96, fmin=-1.0)
-    with pytest.raises(ValueError):
-        MelConfig(12000, 96, fmin=6000.0)
-    with pytest.raises(ValueError):
-        MelConfig(12000, 96, target_frames=0)
+    with pytest.raises(TypeError):
+        MelConfig(12000, 96, frame_size=1024)
 
 
 def test_config_defaults_and_hop():
     config = MelConfig(16000, 48, 4)
-    assert config.fmax == 8000.0
+    assert [field.name for field in dataclasses.fields(MelConfig)] == [
+        "sample_rate", "n_mels", "hop_multiplier", "compression",
+    ]
+    assert (config.frame_size, config.fmin, config.fmax) == (512, 0.0, 8000.0)
     assert config.hop == 1024
     assert config.config_id == "16000Hz-48mel-x4-dB"
 
@@ -583,6 +560,7 @@ def mspec_bytes(rate=12000, n_mels=8, hop=256, frame=512, frames=2, extra=b""):
         ({"frame": 0}, "frame_size"),
         ({"frame": 511}, "frame_size"),
         ({"extra": b"\x00"}, "after the payload"),
+        ({"frame": 1024}, "frame_size"),
     ],
 )
 def test_mspec_rejects_bad_values(tmp_path, fields, match):
