@@ -4,7 +4,12 @@ Annotation files are tab-separated with a header: clip id first, audio
 path last, one binary tag column per name in between. The folder of an
 item is the first component of its audio path. The canonical split
 sorts the 16 convention folders lexicographically and sends the first
-12 to train, the 13th ("d") to valid, and the last 3 to test.
+12 to train, the 13th ("c") to valid, and the last 3 to test.
+
+A manifest is stored as columns, not as one object per clip: tuples of
+clip ids, audio paths and folders, and one read-only uint8 matrix of
+tag flags with a row per clip and a column per tag. Per-clip records
+(ManifestItem) are built only when DatasetManifest.items is read.
 
 Storage accounting mirrors the binary feature container: payload bytes
 scale linearly in rows and columns, plus a 40-byte header per file.
@@ -12,8 +17,10 @@ scale linearly in rows and columns, plus a 40-byte header per file.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .exceptions import ManifestParseError, UnsupportedLayoutError
 from .mel import MelConfig, mspec_size
@@ -30,19 +37,25 @@ __all__ = [
 ]
 
 MTAT_FOLDERS = tuple("0123456789abcdef")
-_TRAIN_FOLDERS = frozenset(MTAT_FOLDERS[:12])
-_VALID_FOLDERS = frozenset(MTAT_FOLDERS[12:13])
-_TEST_FOLDERS = frozenset(MTAT_FOLDERS[13:])
-_FLAG_VALUES = frozenset({0, 1})
+# Split part of each convention folder: 0 train, 1 valid, 2 test.
+_FOLDER_PART = {folder: (0 if i < 12 else 1 if i == 12 else 2)
+                for i, folder in enumerate(MTAT_FOLDERS)}
+_NO_PART = 3
 _FLAG_CELLS = frozenset({"0", "1"})
+_BLOCK_ROWS = 2048
 
 
 def _repeated(names: tuple[str, ...]) -> str | None:
     """The first name that already occurred earlier in names, if any."""
-    return next((name for i, name in enumerate(names) if name in names[:i]), None)
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestItem:
     """One annotated clip: identity, location, and its binary tag vector."""
 
@@ -51,45 +64,74 @@ class ManifestItem:
     folder: str
     tag_flags: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tag_flags", tuple(map(int, self.tag_flags)))
-        if not _FLAG_VALUES.issuperset(self.tag_flags):
-            raise ValueError(f"{self.clip_id}: tag flags must be 0/1")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetManifest:
-    """Immutable collection of annotated items with a shared list of distinct tags."""
+    """Immutable annotated clips as columns, with a shared list of distinct tags.
 
-    items: tuple[ManifestItem, ...]
+    clip_ids and audio_paths hold one entry per clip; flags is a
+    read-only C-contiguous uint8 matrix of shape (clips, tags) holding
+    0/1, copied from whatever array-like is passed. folders is derived
+    from the paths: the first path component. items is a view, not a
+    field: it builds one ManifestItem per clip on each access.
+    """
+
+    clip_ids: tuple[str, ...]
+    audio_paths: tuple[str, ...]
     tag_names: tuple[str, ...]
+    flags: np.ndarray
+    folders: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "tag_names", tuple(str(n) for n in self.tag_names))
-        repeated = _repeated(self.tag_names)
+        clip_ids = tuple(self.clip_ids)
+        audio_paths = tuple(self.audio_paths)
+        tag_names = tuple(str(n) for n in self.tag_names)
+        repeated = _repeated(tag_names)
         if repeated is not None:
             raise ValueError(f"duplicate tag name {repeated!r}")
-        seen: set[str] = set()
-        for item in self.items:
-            if item.clip_id in seen:
-                raise ValueError(f"duplicate clip_id {item.clip_id!r}")
-            seen.add(item.clip_id)
-            if len(item.tag_flags) != len(self.tag_names):
-                raise ValueError(
-                    f"{item.clip_id}: {len(item.tag_flags)} flags for "
-                    f"{len(self.tag_names)} tags"
-                )
+        if len(set(clip_ids)) != len(clip_ids):
+            raise ValueError(f"duplicate clip_id {_repeated(clip_ids)!r}")
+        if len(audio_paths) != len(clip_ids):
+            raise ValueError(f"{len(audio_paths)} audio paths for {len(clip_ids)} clips")
+        flags = np.asarray(self.flags)
+        if flags.shape != (len(clip_ids), len(tag_names)):
+            raise ValueError(
+                f"flags of shape {flags.shape} for {len(clip_ids)} clips and "
+                f"{len(tag_names)} tags"
+            )
+        if np.count_nonzero(flags == 0) + np.count_nonzero(flags == 1) != flags.size:
+            raise ValueError("tag flags must be 0/1")
+        flags = np.array(flags, dtype=np.uint8, order="C")
+        flags.setflags(write=False)
+        object.__setattr__(self, "clip_ids", clip_ids)
+        object.__setattr__(self, "audio_paths", audio_paths)
+        object.__setattr__(self, "tag_names", tag_names)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(
+            self, "folders", tuple(path.partition("/")[0] for path in audio_paths)
+        )
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.clip_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DatasetManifest):
+            return NotImplemented
+        return (
+            (self.clip_ids, self.audio_paths, self.tag_names)
+            == (other.clip_ids, other.audio_paths, other.tag_names)
+            and np.array_equal(self.flags, other.flags)
+        )
+
+    @property
+    def items(self) -> tuple[ManifestItem, ...]:
+        """One record per clip, built from the columns on each access."""
+        rows = map(tuple, map(np.ndarray.tolist, self.flags))
+        return tuple(map(ManifestItem, self.clip_ids, self.audio_paths, self.folders, rows))
 
     def tag_counts(self) -> dict[str, int]:
         """Positive count per tag over the whole manifest."""
-        if not self.items:
-            return dict.fromkeys(self.tag_names, 0)
-        columns = zip(*(item.tag_flags for item in self.items))
-        return dict(zip(self.tag_names, map(sum, columns)))
+        return dict(zip(self.tag_names, self.flags.sum(axis=0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -116,92 +158,116 @@ class SplitAssignment:
         return len(self.train), len(self.valid), len(self.test)
 
 
+def _raise_first_row_error(path, lines, n_cells: int, tag_names: tuple[str, ...]) -> None:
+    """Walk numbered data lines in file order and raise for the first bad one."""
+    seen: set[str] = set()
+    for lineno, line in lines:
+        cells = line.split("\t")
+        if len(cells) != n_cells:
+            raise ManifestParseError(
+                f"{path}: line {lineno}: {len(cells)} cells, header has {n_cells}"
+            )
+        if cells[0] in seen:
+            raise ManifestParseError(f"{path}: line {lineno}: duplicate clip_id {cells[0]!r}")
+        seen.add(cells[0])
+        for name, cell in zip(tag_names, cells[1:-1]):
+            if cell not in _FLAG_CELLS:
+                raise ManifestParseError(
+                    f"{path}: line {lineno}: tag {name!r} has non-binary value {cell!r}"
+                )
+
+
+def _fill_flags(out: np.ndarray, bodies: list[str]) -> bool:
+    """Write the 0/1 cells of the row bodies into out; False if a body is malformed.
+
+    A body is what lies between a row's first and last tab. In a good row
+    it is the flag cells "0"/"1" joined by single tabs: 2 * n_tags - 1
+    ASCII characters, with the cells at even offsets and tabs at odd ones.
+    """
+    width = 2 * out.shape[1] - 1
+    if not set(map(len, bodies)) <= {width}:
+        return False
+    joined = "".join(bodies)
+    if not joined.isascii():
+        return False
+    cells = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(bodies), width)
+    np.subtract(cells[:, 0::2], ord("0"), out=out)
+    return bool((cells[:, 1::2] == ord("\t")).all() and (out <= 1).all())
+
+
 def parse_annotations(path) -> DatasetManifest:
     """Parse a tab-separated annotation file into a manifest.
 
     Header: clip id column first, audio path column last, distinct tag
     names in between. Tag cells must be "0" or "1"; errors carry the 1-based line
-    number. The item folder is the first component of the audio path.
-    Lines are read one at a time, so the file is never held whole.
+    number, and blank or whitespace-only lines are skipped but counted.
+    The file is read once, whole. The flag cells are checked and converted
+    as byte matrices of up to 2048 rows, not cell by cell; only a file that
+    fails that check is walked line by line, to name its first error.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = ((i, line.rstrip("\n")) for i, line in enumerate(fh, start=1) if line.strip())
-        first = next(rows, None)
-        if first is None:
-            raise ManifestParseError(f"{path}: empty annotation file")
-        header = first[1].split("\t")
-        if len(header) < 3:
-            raise ManifestParseError(
-                f"{path}: header needs clip id, at least one tag, and a path; "
-                f"got {len(header)} columns"
-            )
-        tag_names = tuple(header[1:-1])
-        repeated = _repeated(tag_names)
-        if repeated is not None:
-            raise ManifestParseError(f"{path}: line {first[0]}: duplicate tag {repeated!r}")
-        items = []
-        seen: set[str] = set()
-        for lineno, line in rows:
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise ManifestParseError(
-                    f"{path}: line {lineno}: {len(cells)} cells, header has "
-                    f"{len(header)}"
-                )
-            clip_id = cells[0]
-            if clip_id in seen:
-                raise ManifestParseError(
-                    f"{path}: line {lineno}: duplicate clip_id {clip_id!r}"
-                )
-            seen.add(clip_id)
-            flags = cells[1:-1]
-            if not _FLAG_CELLS.issuperset(flags):
-                name, cell = next(
-                    (name, cell) for name, cell in zip(tag_names, flags) if cell not in _FLAG_CELLS
-                )
-                raise ManifestParseError(
-                    f"{path}: line {lineno}: tag {name!r} has non-binary value "
-                    f"{cell!r}"
-                )
-            audio_path = cells[-1]
-            folder = audio_path.split("/")[0]
-            items.append(ManifestItem(clip_id, audio_path, folder, flags))
-    return DatasetManifest(items=tuple(items), tag_names=tag_names)
+        lines = fh.read().split("\n")
+    rows = [i for i, line in enumerate(lines) if line and not line.isspace()]
+    if not rows:
+        raise ManifestParseError(f"{path}: empty annotation file")
+    header = lines[rows[0]].split("\t")
+    if len(header) < 3:
+        raise ManifestParseError(
+            f"{path}: header needs clip id, at least one tag, and a path; "
+            f"got {len(header)} columns"
+        )
+    tag_names = tuple(header[1:-1])
+    repeated = _repeated(tag_names)
+    if repeated is not None:
+        raise ManifestParseError(f"{path}: line {rows[0] + 1}: duplicate tag {repeated!r}")
+    del rows[0]
+
+    # Rows are checked in blocks, so the transient copies of their flag
+    # cells stay a small fraction of the file.
+    flags = np.empty((len(rows), len(tag_names)), dtype=np.uint8)
+    clip_ids, audio_paths = [], []
+    good = True
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        bodies = []
+        for i in rows[lo:lo + _BLOCK_ROWS]:
+            line = lines[i]
+            start = line.find("\t")
+            end = line.rfind("\t")
+            clip_ids.append(line[:start])
+            audio_paths.append(line[end + 1:])
+            bodies.append(line[start + 1:end] if start < end else "")
+        good = _fill_flags(flags[lo:lo + len(bodies)], bodies) and good
+    if not good or len(set(clip_ids)) != len(clip_ids):
+        numbered = ((i + 1, lines[i]) for i in rows)
+        _raise_first_row_error(path, numbered, len(header), tag_names)
+    del lines  # before the manifest makes its own copy of the flags
+    return DatasetManifest(clip_ids, audio_paths, tag_names, flags)
 
 
 def canonical_split(manifest: DatasetManifest) -> SplitAssignment:
     """Assign items to train/valid/test by the 16-folder convention.
 
     The convention names folders "0".."9","a".."f"; in lexicographic
-    order the first 12 are train, the 13th ("d") valid, the last 3 test.
+    order the first 12 are train, the 13th ("c") valid, the last 3 test.
     The rule is purely folder-based, so a convention folder with no items
     just contributes nothing. A folder outside the convention means the
-    layout is not the expected one and raises UnsupportedLayoutError.
+    layout is not the expected one and raises UnsupportedLayoutError,
+    naming the first such clip in manifest order.
     """
-    train: set[str] = set()
-    valid: set[str] = set()
-    test: set[str] = set()
-    for item in manifest.items:
-        if item.folder in _TRAIN_FOLDERS:
-            train.add(item.clip_id)
-        elif item.folder in _VALID_FOLDERS:
-            valid.add(item.clip_id)
-        elif item.folder in _TEST_FOLDERS:
-            test.add(item.clip_id)
-        else:
-            raise UnsupportedLayoutError(
-                f"folder {item.folder!r} (clip {item.clip_id!r}) is not one of "
-                f"the 16 convention folders 0-9, a-f"
-            )
-    return SplitAssignment(frozenset(train), frozenset(valid), frozenset(test))
-
-
-def _tuple_getter(indices: list[int]):
-    """Function returning row[j] for each j in indices, always as a tuple."""
-    if len(indices) == 1:
-        (j,) = indices
-        return lambda row: (row[j],)
-    return operator.itemgetter(*indices)
+    parts = np.fromiter(
+        map(_FOLDER_PART.get, manifest.folders, repeat(_NO_PART)),
+        dtype=np.int8,
+        count=len(manifest),
+    )
+    outside = np.flatnonzero(parts == _NO_PART)
+    if outside.size:
+        i = int(outside[0])
+        raise UnsupportedLayoutError(
+            f"folder {manifest.folders[i]!r} (clip {manifest.clip_ids[i]!r}) is not "
+            f"one of the 16 convention folders 0-9, a-f"
+        )
+    ids = np.array(manifest.clip_ids, dtype=object)
+    return SplitAssignment(*(frozenset(ids[parts == part]) for part in range(3)))
 
 
 def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
@@ -216,18 +282,15 @@ def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(manifest.tag_names):
         raise ValueError(f"k={k} exceeds tag count {len(manifest.tag_names)}")
-    counts = manifest.tag_counts()
-    ranked = sorted(
-        range(len(manifest.tag_names)),
-        key=lambda j: (-counts[manifest.tag_names[j]], manifest.tag_names[j]),
-    )[:k]
-    pick = _tuple_getter(ranked)
-    new_names = pick(manifest.tag_names)
-    new_items = tuple(
-        ManifestItem(item.clip_id, item.audio_path, item.folder, pick(item.tag_flags))
-        for item in manifest.items
+    counts = manifest.flags.sum(axis=0).tolist()
+    names = manifest.tag_names
+    ranked = sorted(range(len(names)), key=lambda j: (-counts[j], names[j]))[:k]
+    return DatasetManifest(
+        manifest.clip_ids,
+        manifest.audio_paths,
+        tuple(names[j] for j in ranked),
+        manifest.flags[:, ranked],
     )
-    return DatasetManifest(items=new_items, tag_names=new_names)
 
 
 def storage_size(config: MelConfig, n_frames: int) -> int:

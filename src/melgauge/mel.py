@@ -396,8 +396,11 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
     Values are stored as row-major little-endian float32 regardless of
     the in-memory dtype. The bytes go to a sibling temporary file that is
     then renamed onto path, so path holds either its old contents or the
-    complete new file, never a partial one.
+    complete new file, never a partial one. A spectrogram with no frames
+    is refused: no reader could tell it from a damaged file.
     """
+    if mel.n_frames < 1:
+        raise ValueError(f"{path}: cannot write a spectrogram with no frames")
     header = _MSPEC_HEADER.pack(
         _MSPEC_MAGIC,
         _MSPEC_VERSION,
@@ -430,8 +433,10 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
 def read_mspec(path) -> MelSpectrogram:
     """Read a container written by write_mspec.
 
-    A malformed file, including bad header values and bytes after the
-    payload, raises MspecFormatError naming the path.
+    A malformed file, including bad header values, a header with no
+    frames, and a payload size other than the header's, raises
+    MspecFormatError naming the path. The payload size is checked against
+    the file size before any of it is read.
     """
     with open(path, "rb") as fh:
         header = fh.read(MSPEC_HEADER_SIZE)
@@ -455,12 +460,15 @@ def read_mspec(path) -> MelSpectrogram:
             raise MspecFormatError(
                 f"{path}: frame_size {frame_size} is not {MelConfig.frame_size}"
             )
-        payload = fh.read(4 * n_mels * n_frames)
-        trailing = fh.read(1)
-    if len(payload) != 4 * n_mels * n_frames:
-        raise MspecFormatError(f"{path}: truncated payload")
-    if trailing:
-        raise MspecFormatError(f"{path}: bytes after the payload")
+        if n_frames == 0:
+            raise MspecFormatError(f"{path}: header has no frames")
+        expected = mspec_size(n_mels, n_frames)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual < expected:
+            raise MspecFormatError(f"{path}: truncated payload")
+        if actual > expected:
+            raise MspecFormatError(f"{path}: bytes after the payload")
+        payload = fh.read(expected - MSPEC_HEADER_SIZE)
     values = np.frombuffer(payload, dtype="<f4").reshape(n_mels, n_frames)
     with warnings.catch_warnings():
         # A stored file is data, not a user's config choice.

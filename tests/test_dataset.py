@@ -1,11 +1,15 @@
 """Manifest parsing, the folder split rule, tag selection, storage math."""
 
+import json
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melgauge.dataset import (
     MTAT_FOLDERS,
     DatasetManifest,
-    ManifestItem,
     SplitAssignment,
     canonical_split,
     parse_annotations,
@@ -120,10 +124,19 @@ class TestParseAnnotations:
             parse_annotations(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_row_without_tabs(self, tmp_path):
+        # with one tag, "0x" is as long as a good row's flag cells
+        path = tmp_path / "annot.tsv"
+        path.write_text("id\ta\tpath\n1\t0\t0/x\n0x\n")
+        with pytest.raises(ManifestParseError) as info:
+            parse_annotations(path)
+        assert str(info.value) == f"{path}: line 3: 1 cells, header has 3"
+
     def test_tag_counts_and_top_k_on_parsed_file(self, tmp_path):
         manifest = parse_annotations(small_fixture(tmp_path))
         assert manifest.tag_counts() == {"rock": 2, "piano": 2, "loud": 1, "quiet": 1}
-        assert DatasetManifest((), ("a", "b")).tag_counts() == {"a": 0, "b": 0}
+        empty = DatasetManifest((), (), ("a", "b"), np.zeros((0, 2), np.uint8))
+        assert empty.tag_counts() == {"a": 0, "b": 0}
         top = top_k_tags(manifest, 1)
         assert top.tag_names == ("piano",)
         assert [item.tag_flags for item in top.items] == [(0,), (1,), (1,)]
@@ -193,12 +206,12 @@ class TestCanonicalSplit:
 class TestTopKTags:
     def counts_fixture(self):
         # counts: a=3, b=2, c=1
-        items = [
-            ManifestItem("1", "0/x.mp3", "0", (1, 1, 1)),
-            ManifestItem("2", "0/y.mp3", "0", (1, 1, 0)),
-            ManifestItem("3", "0/z.mp3", "0", (1, 0, 0)),
-        ]
-        return DatasetManifest(tuple(items), ("a", "b", "c"))
+        return DatasetManifest(
+            ("1", "2", "3"),
+            ("0/x.mp3", "0/y.mp3", "0/z.mp3"),
+            ("a", "b", "c"),
+            [(1, 1, 1), (1, 1, 0), (1, 0, 0)],
+        )
 
     def test_keeps_most_frequent(self):
         reduced = top_k_tags(self.counts_fixture(), 2)
@@ -206,11 +219,9 @@ class TestTopKTags:
         assert reduced.items[2].tag_flags == (1, 0)
 
     def test_tie_breaks_lexicographic(self):
-        items = [
-            ManifestItem("1", "0/x.mp3", "0", (1, 1, 1)),
-            ManifestItem("2", "0/y.mp3", "0", (1, 1, 0)),
-        ]
-        manifest = DatasetManifest(tuple(items), ("y", "x", "z"))  # x and y tie at 2
+        manifest = DatasetManifest(  # x and y tie at 2
+            ("1", "2"), ("0/x.mp3", "0/y.mp3"), ("y", "x", "z"), [(1, 1, 1), (1, 1, 0)]
+        )
         reduced = top_k_tags(manifest, 1)
         assert reduced.tag_names == ("x",)
 
@@ -227,11 +238,9 @@ class TestTopKTags:
         assert once == twice
 
     def test_items_survive_all_zero_flags(self):
-        items = [
-            ManifestItem("1", "0/x.mp3", "0", (1, 0)),
-            ManifestItem("2", "0/y.mp3", "0", (0, 1)),
-        ]
-        manifest = DatasetManifest(tuple(items), ("big", "small"))
+        manifest = DatasetManifest(
+            ("1", "2"), ("0/x.mp3", "0/y.mp3"), ("big", "small"), [(1, 0), (0, 1)]
+        )
         # both tags count 1; lexicographic tie-break keeps "big"
         reduced = top_k_tags(manifest, 1)
         assert reduced.tag_names == ("big",)
@@ -275,26 +284,221 @@ class TestStorageSize:
 
 class TestManifestValidation:
     def test_duplicate_ids_rejected(self):
-        items = (
-            ManifestItem("1", "0/x.mp3", "0", (1,)),
-            ManifestItem("1", "0/y.mp3", "0", (0,)),
-        )
         with pytest.raises(ValueError, match="duplicate"):
-            DatasetManifest(items, ("t",))
+            DatasetManifest(("1", "1"), ("0/x.mp3", "0/y.mp3"), ("t",), [(1,), (0,)])
 
     def test_duplicate_tag_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate tag name 'rock'"):
-            DatasetManifest((ManifestItem("1", "0/x.mp3", "0", (1, 0)),), ("rock", "rock"))
+            DatasetManifest(("1",), ("0/x.mp3",), ("rock", "rock"), [(1, 0)])
 
     def test_flag_length_mismatch(self):
-        items = (ManifestItem("1", "0/x.mp3", "0", (1, 0)),)
         with pytest.raises(ValueError):
-            DatasetManifest(items, ("t",))
+            DatasetManifest(("1",), ("0/x.mp3",), ("t",), [(1, 0)])
 
     def test_non_binary_flag(self):
         with pytest.raises(ValueError):
-            ManifestItem("1", "0/x.mp3", "0", (2,))
+            DatasetManifest(("1",), ("0/x.mp3",), ("t",), [(2,)])
+
+    def test_path_count_mismatch(self):
+        with pytest.raises(ValueError, match="1 audio paths for 2 clips"):
+            DatasetManifest(("1", "2"), ("0/x.mp3",), ("t",), [(1,), (0,)])
 
     def test_tag_counts(self, tmp_path):
         manifest = parse_annotations(small_fixture(tmp_path))
-        assert manifest.tag_counts() == {"rock": 2, "piano": 2, "loud": 1, "quiet": 1}
+        counts = manifest.tag_counts()
+        assert counts == {"rock": 2, "piano": 2, "loud": 1, "quiet": 1}
+        assert all(type(count) is int for count in counts.values())
+        assert json.loads(json.dumps(counts)) == counts
+
+
+class TestColumns:
+    def test_columns_of_parsed_file(self, tmp_path):
+        manifest = parse_annotations(small_fixture(tmp_path))
+        assert manifest.clip_ids == ("2", "7", "9")
+        assert manifest.audio_paths == ("0/track_a.mp3", "3/track_b.mp3", "d/track_c.mp3")
+        assert manifest.folders == ("0", "3", "d")
+        assert manifest.flags.tolist() == [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 1]]
+
+    def test_flags_are_read_only_contiguous_uint8(self, tmp_path):
+        manifest = parse_annotations(small_fixture(tmp_path))
+        for flags in (manifest.flags, top_k_tags(manifest, 2).flags):
+            assert flags.dtype == np.uint8
+            assert flags.flags.c_contiguous
+            assert not flags.flags.writeable
+
+    def test_constructor_copies_the_flags(self):
+        flags = np.array([[1, 0]], dtype=np.uint8)
+        manifest = DatasetManifest(("1",), ("0/x.mp3",), ("a", "b"), flags)
+        flags[0, 0] = 0
+        assert manifest.flags.tolist() == [[1, 0]]
+        assert flags.flags.writeable
+
+    def test_items_view_rows(self, tmp_path):
+        items = top_k_tags(parse_annotations(small_fixture(tmp_path)), 2).items
+        assert [(i.clip_id, i.audio_path, i.folder) for i in items] == [
+            ("2", "0/track_a.mp3", "0"), ("7", "3/track_b.mp3", "3"), ("9", "d/track_c.mp3", "d"),
+        ]
+        assert [i.tag_flags for i in items] == [(0, 1), (1, 0), (1, 1)]
+        assert all(type(flag) is int for item in items for flag in item.tag_flags)
+
+    def test_equality_compares_flags(self):
+        one = DatasetManifest(("1",), ("0/x.mp3",), ("a",), [(1,)])
+        assert one == DatasetManifest(("1",), ("0/x.mp3",), ("a",), np.ones((1, 1), np.uint8))
+        assert one != DatasetManifest(("1",), ("0/x.mp3",), ("a",), [(0,)])
+        assert one != DatasetManifest(("1",), ("0/y.mp3",), ("a",), [(1,)])
+
+    def test_crlf_and_non_ascii_ids_parse(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes("id\ta\tb\tpath\r\n\r\nété\t1\t0\tc/ü.mp3\r\n".encode())
+        manifest = parse_annotations(path)
+        assert manifest.clip_ids == ("été",)
+        assert manifest.audio_paths == ("c/ü.mp3",)
+        assert manifest.flags.tolist() == [[1, 0]]
+
+    def test_split_names_first_outside_folder_in_file_order(self, tmp_path):
+        path = write_tsv(
+            tmp_path / "weird.tsv",
+            ["clip_id", "t", "path"],
+            [["1", "0", "0/a.mp3"], ["2", "0", "zz/b.mp3"], ["3", "1", "g/c.mp3"]],
+        )
+        with pytest.raises(UnsupportedLayoutError) as info:
+            canonical_split(parse_annotations(path))
+        assert str(info.value) == (
+            "folder 'zz' (clip '2') is not one of the 16 convention folders 0-9, a-f"
+        )
+
+
+# ------------------------------------------------ line-walk reference parser
+
+_REF_FLAG_CELLS = frozenset({"0", "1"})
+
+
+def reference_parse(path):
+    """The line-at-a-time parser that came before the columnar one, frozen.
+
+    Returns (tag_names, clip_ids, audio_paths, folders, flag rows) or
+    raises ManifestParseError with the message the parser must keep.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ((i, line.rstrip("\n")) for i, line in enumerate(fh, start=1) if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ManifestParseError(f"{path}: empty annotation file")
+        header = first[1].split("\t")
+        if len(header) < 3:
+            raise ManifestParseError(
+                f"{path}: header needs clip id, at least one tag, and a path; "
+                f"got {len(header)} columns"
+            )
+        tag_names = tuple(header[1:-1])
+        repeated = next(
+            (name for i, name in enumerate(tag_names) if name in tag_names[:i]), None
+        )
+        if repeated is not None:
+            raise ManifestParseError(f"{path}: line {first[0]}: duplicate tag {repeated!r}")
+        ids, paths, folders, flag_rows = [], [], [], []
+        seen = set()
+        for lineno, line in rows:
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise ManifestParseError(
+                    f"{path}: line {lineno}: {len(cells)} cells, header has {len(header)}"
+                )
+            clip_id = cells[0]
+            if clip_id in seen:
+                raise ManifestParseError(f"{path}: line {lineno}: duplicate clip_id {clip_id!r}")
+            seen.add(clip_id)
+            flags = cells[1:-1]
+            if not _REF_FLAG_CELLS.issuperset(flags):
+                name, cell = next(
+                    (name, cell) for name, cell in zip(tag_names, flags)
+                    if cell not in _REF_FLAG_CELLS
+                )
+                raise ManifestParseError(
+                    f"{path}: line {lineno}: tag {name!r} has non-binary value {cell!r}"
+                )
+            ids.append(clip_id)
+            paths.append(cells[-1])
+            folders.append(cells[-1].split("/")[0])
+            flag_rows.append([int(cell) for cell in flags])
+    return tag_names, tuple(ids), tuple(paths), tuple(folders), flag_rows
+
+
+# Cell text: any character but the separators and line breaks, including
+# non-ASCII letters and whitespace.
+_CELL_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    max_size=4,
+)
+_BLANK_LINES = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x85", "\u2028", "\u3000"])
+_CORRUPTIONS = st.sampled_from([
+    None, "bad cell", "spaced one", "non-ascii cell", "short row", "long row",
+    "merged cells", "no tabs", "repeated id",
+])
+
+
+@st.composite
+def annotation_texts(draw):
+    """A small annotation file, at most one thing wrong with it."""
+    tags = draw(st.lists(_CELL_TEXT, min_size=1, max_size=4, unique=True))
+    header = [draw(_CELL_TEXT), *tags, draw(_CELL_TEXT)]
+    n_rows = draw(st.integers(0, 6))
+    ids = draw(st.lists(_CELL_TEXT, min_size=n_rows, max_size=n_rows, unique=True))
+    rows = []
+    for clip_id in ids:
+        folder = draw(st.sampled_from(MTAT_FOLDERS) | _CELL_TEXT)
+        audio_path = folder + draw(st.sampled_from(["/", ""])) + draw(_CELL_TEXT)
+        flags = draw(st.lists(st.sampled_from("01"), min_size=len(tags), max_size=len(tags)))
+        rows.append([clip_id, *flags, audio_path])
+    corruption = draw(_CORRUPTIONS)
+    if rows and corruption is not None:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cell = draw(st.integers(1, len(tags)))
+        if corruption == "bad cell":
+            row[cell] = draw(st.sampled_from(["2", "", "01", "x", "\x00"]))
+        elif corruption == "spaced one":
+            row[cell] = " 1"
+        elif corruption == "non-ascii cell":
+            row[cell] = draw(st.sampled_from(["é", "１", "١"]))
+        elif corruption == "short row":
+            del row[cell]
+        elif corruption == "long row":
+            row.insert(cell, draw(st.sampled_from("01")))
+        elif corruption == "merged cells":
+            # a flag character in place of a tab, so two flag cells keep the width
+            row[cell - 1:cell + 1] = [row[cell - 1] + draw(st.sampled_from("01")) + row[cell]]
+        elif corruption == "no tabs":
+            row[:] = ["".join(row)]
+        elif len(rows) > 1:
+            row[0] = rows[0][0] if row is not rows[0] else rows[1][0]
+    lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK_LINES))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=annotation_texts())
+def test_parse_matches_line_walk_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("oracle") / "annot.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = reference_parse(path)
+    except ManifestParseError as exc:
+        with pytest.raises(ManifestParseError) as info:
+            parse_annotations(path)
+        assert str(info.value) == str(exc)
+        return
+    manifest = parse_annotations(path)
+    tag_names, ids, paths, folders, flag_rows = want
+    assert manifest.tag_names == tag_names
+    assert manifest.clip_ids == ids
+    assert manifest.audio_paths == paths
+    assert manifest.folders == folders
+    assert manifest.flags.shape == (len(ids), len(tag_names))
+    assert manifest.flags.tolist() == flag_rows

@@ -3,10 +3,13 @@ import gc
 import math
 import struct
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melgauge import mel
 from melgauge.dsp import AudioBuffer, FrameGrid, frame_count, stft_power
@@ -24,6 +27,7 @@ from melgauge.mel import (
     mel_filterbank,
     mel_spectrogram,
     mel_to_hz_slaney,
+    mspec_size,
     read_mspec,
     write_mspec,
 )
@@ -543,12 +547,12 @@ def test_mspec_rejects_malformed(tmp_path):
         read_mspec(header_only)
 
 
-def mspec_bytes(rate=12000, n_mels=8, hop=256, frame=512, frames=2, extra=b""):
+def mspec_bytes(rate=12000, n_mels=8, hop=256, frame=512, frames=2, extra=b"", payload=None):
     header = struct.pack(
         "<8sHIHIIBBIB9s", b"MSPEC1\x00\x00", 1, rate, n_mels, hop, frame, 0, 0, frames, 0,
         bytes(9),
     )
-    return header + bytes(4 * n_mels * frames) + extra
+    return header + (bytes(4 * n_mels * frames) if payload is None else payload) + extra
 
 
 @pytest.mark.parametrize(
@@ -575,3 +579,108 @@ def test_mspec_bytes_helper_reads_back(tmp_path):
     path = tmp_path / "good.mspec"
     path.write_bytes(mspec_bytes())
     assert read_mspec(path).values.shape == (8, 2)
+
+
+def test_mspec_rejects_zero_frames(tmp_path):
+    path = tmp_path / "empty.mspec"
+    path.write_bytes(mspec_bytes(frames=0))
+    with pytest.raises(MspecFormatError, match="no frames") as info:
+        read_mspec(path)
+    assert str(path) in str(info.value)
+
+
+def test_write_mspec_refuses_zero_frames(tmp_path):
+    spec = MelSpectrogram(values=np.zeros((8, 0)), config=MelConfig(12000, 8))
+    with pytest.raises(ValueError, match="no frames"):
+        write_mspec(tmp_path / "empty.mspec", spec)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "n_mels, frames, payload",
+    [
+        (65535, 0xFFFFFFFF, b""),  # 1.1 TB claimed
+        (4096, 8192, bytes(64)),  # 128 MiB claimed, 64 bytes present
+    ],
+)
+def test_mspec_payload_size_checked_before_reading(tmp_path, n_mels, frames, payload):
+    path = tmp_path / "liar.mspec"
+    path.write_bytes(mspec_bytes(n_mels=n_mels, frames=frames, payload=payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MspecFormatError, match="truncated payload") as info:
+            read_mspec(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 1 << 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=st.integers(0, 87),
+    frames=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mspec_roundtrip_grid_cells(tmp_path_factory, cell, frames, seed):
+    config = enumerate_grid()[cell]
+    # Any float32 bit pattern, NaNs and infinities included, must survive.
+    bits = np.random.default_rng(seed).integers(
+        0, 2**32, (config.n_mels, frames), dtype=np.uint32
+    )
+    values = bits.view(np.float32)
+    path = tmp_path_factory.mktemp("roundtrip") / "cell.mspec"
+    n_bytes = write_mspec(path, MelSpectrogram(values=values, config=config))
+    assert n_bytes == path.stat().st_size == mspec_size(config.n_mels, frames)
+    spec = read_mspec(path)
+    assert spec.config == config
+    assert spec.values.shape == (config.n_mels, frames)
+    assert spec.values.tobytes() == values.tobytes()
+
+
+# One optional override per header field, within the field's struct range.
+_HEADER_FIELDS = st.tuples(
+    st.none() | st.binary(min_size=8, max_size=8),
+    st.none() | st.integers(0, 2**16 - 1),
+    st.none() | st.integers(0, 2**32 - 1),
+    st.none() | st.integers(0, 2**16 - 1),
+    st.none() | st.sampled_from([0, 128, 256, 512, 768]) | st.integers(0, 2**32 - 1),
+    st.none() | st.sampled_from([0, 511, 1024]) | st.integers(0, 2**32 - 1),
+    st.none() | st.integers(0, 255),
+    st.none() | st.integers(0, 255),
+    st.none() | st.integers(0, 2**32 - 1),
+    st.none() | st.integers(0, 255),
+    st.none() | st.binary(min_size=9, max_size=9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_mels=st.sampled_from([8, 16]),
+    frames=st.integers(1, 8),
+    overrides=_HEADER_FIELDS,
+    cut=st.none() | st.integers(0, 40 + 4 * 16 * 8),
+    extra=st.binary(max_size=8),
+)
+def test_mspec_fuzzed_bytes_read_back_or_raise_format_error(
+    tmp_path_factory, n_mels, frames, overrides, cut, extra
+):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.mspec"
+    spec = MelSpectrogram(values=np.ones((n_mels, frames)), config=MelConfig(12000, n_mels))
+    write_mspec(path, spec)
+    raw = path.read_bytes()
+    fields = list(struct.unpack("<8sHIHIIBBIB9s", raw[:40]))
+    fields = [old if new is None else new for old, new in zip(fields, overrides)]
+    data = struct.pack("<8sHIHIIBBIB9s", *fields) + raw[40:]
+    data = (data if cut is None else data[:cut]) + extra
+    path.write_bytes(data)
+    try:
+        spec = read_mspec(path)
+    except MspecFormatError as exc:
+        assert str(path) in str(exc)
+        return
+    header = struct.unpack("<8sHIHIIBBIB9s", data[:40])
+    assert spec.values.shape == (header[3], header[8])
+    assert len(data) == mspec_size(header[3], header[8])
+    assert spec.values.tobytes() == data[40:]
