@@ -26,9 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .config import MelConfig, benchmark_frames, frame_count, mspec_size
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
-from .dsp import frame_count
-from .mel import MelConfig, benchmark_frames, mspec_size
 
 __all__ = [
     "VGG_CHANNELS",

@@ -13,20 +13,33 @@ n_mels descending, hop ascending, compression) and floats are formatted
 at 6 significant digits.
 Selectors default to the benchmark grid; off-grid values are honored
 with a `warning: ...` line on stderr unless --grid-strict is given.
+
+cost, report, grid and adapt need only the configuration layer, the cost
+models and the reference table, none of which imports numpy. extract
+and evaluate import the signal chain and the metrics when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
 import warnings
 from pathlib import Path
 
-from . import dsp
 from .arch import ARCH_NAMES, grid_cost_sweep, vgg_pooling_plan
+from .config import (
+    COMPRESSIONS,
+    GRID_MELS,
+    GRID_SAMPLE_RATES,
+    MelConfig,
+    benchmark_frames,
+    grid_hops,
+    is_grid_config,
+)
 from .exceptions import (
     EmptySummaryError,
     GridWarning,
@@ -35,21 +48,22 @@ from .exceptions import (
     SchemaError,
     UnsupportedConfigError,
 )
-from .mel import (
-    COMPRESSIONS,
-    GRID_MELS,
-    GRID_SAMPLE_RATES,
-    MelConfig,
-    benchmark_frames,
-    grid_hops,
-    is_grid_config,
-    mel_spectrogram,
-    write_mspec,
-)
-from .metrics import load_tag_table, macro_summary
 from .reference import SOURCE_LABEL, published_for_config
 
 __all__ = ["main"]
+
+# Signal-chain and metrics names this module offers as attributes, and the
+# submodule each comes from. They load numpy, so they are imported on first
+# use (PEP 562) and the report commands never import them.
+_LAZY = {"dsp": "dsp", "mel_spectrogram": "mel", "write_mspec": "mel",
+         "load_tag_table": "metrics", "macro_summary": "metrics"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __package__)
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 def _fmt(value: float) -> str:
@@ -283,9 +297,11 @@ def cmd_adapt(args) -> int:
 # -------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
+    # Looked up as this module's attributes, as a caller may rebind them.
+    cli = sys.modules[__name__]
     try:
-        table = load_tag_table(args.predictions, args.labels)
-        summary = macro_summary(table)
+        table = cli.load_tag_table(args.predictions, args.labels)
+        summary = cli.macro_summary(table)
     except (SchemaError, EmptySummaryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -319,6 +335,8 @@ def cmd_evaluate(args) -> int:
 # --------------------------------------------------------------- extract
 
 def _extract_one(input_path: str, config: MelConfig, out_path: Path, input_rate: int | None):
+    from . import dsp, mel
+
     path = Path(input_path)
     if path.suffix.lower() == ".wav":
         audio = dsp.read_wav_mono(path)
@@ -327,7 +345,7 @@ def _extract_one(input_path: str, config: MelConfig, out_path: Path, input_rate:
         audio = dsp.read_raw_float32(path, rate)
     if audio.sample_rate != config.sample_rate:
         audio = dsp.resample_rational(audio, config.sample_rate)
-    return write_mspec(out_path, mel_spectrogram(audio, config))
+    return mel.write_mspec(out_path, mel.mel_spectrogram(audio, config))
 
 
 def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:

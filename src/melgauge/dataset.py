@@ -22,8 +22,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .config import MelConfig, mspec_size
 from .exceptions import ManifestParseError, UnsupportedLayoutError
-from .mel import MelConfig, mspec_size
 
 __all__ = [
     "MTAT_FOLDERS",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import frame_count  # re-exported: the frame arithmetic needs no arrays
 from .exceptions import UnsupportedRatioError
 
 __all__ = [
@@ -135,19 +136,6 @@ def hann_window(n: int) -> np.ndarray:
         raise ValueError(f"window length must be >= 2, got {n}")
     k = np.arange(n)
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
-
-
-def frame_count(n_samples: int, hop: int) -> int:
-    """Number of centred analysis frames for a signal of n_samples.
-
-    1 + floor(n_samples / hop): one frame for every hop point, both edges
-    included, whatever the frame size.
-    """
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if hop <= 0:
-        raise ValueError(f"hop must be positive, got {hop}")
-    return 1 + n_samples // hop
 
 
 def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:

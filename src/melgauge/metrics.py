@@ -238,8 +238,13 @@ def t_test_independent(sample_a, sample_b) -> tuple[float, float]:
 
 # --------------------------------------------------------------------- I/O
 
-def read_tag_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a (header of distinct tag names, one row per item) CSV of numbers."""
+def read_tag_csv(path, labels: bool = False) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a (header of distinct tag names, one row per item) CSV of numbers.
+
+    Cells are parsed by float() (spaces and digit underscores pass) and
+    must be scores in [0, 1], or with labels=True exactly 0 or 1; the
+    first that is not raises SchemaError naming its line and tag.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = [
             (i, cells)
@@ -249,6 +254,8 @@ def read_tag_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     if not records:
         raise SchemaError(f"{path}: empty file")
     names = tuple(cell.strip() for cell in records[0][1])
+    if "" in names:
+        raise SchemaError(f"{path}: header column {names.index('') + 1} is empty")
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
         raise SchemaError(f"{path}: header repeats tag {repeated!r}")
@@ -262,7 +269,14 @@ def read_tag_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
             rows.append([float(cell) for cell in cells])
         except ValueError as exc:
             raise SchemaError(f"{path}: line {i}: {exc}") from exc
-    return names, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+    valid = (values == 0.0) | (values == 1.0) if labels else (values >= 0.0) & (values <= 1.0)
+    if not valid.all():
+        row, col = np.argwhere(~valid)[0]
+        i, cells = records[row + 1]
+        allowed = "a label of 0 or 1" if labels else "a finite score in [0, 1]"
+        raise SchemaError(f"{path}: line {i}, tag {names[col]!r}: {cells[col]!r} is not {allowed}")
+    return names, values
 
 
 def load_tag_table(predictions_path, labels_path) -> TagTable:
@@ -272,7 +286,7 @@ def load_tag_table(predictions_path, labels_path) -> TagTable:
     rather than silently realigned.
     """
     pred_names, scores = read_tag_csv(predictions_path)
-    label_names, labels = read_tag_csv(labels_path)
+    label_names, labels = read_tag_csv(labels_path, labels=True)
     if pred_names != label_names:
         if len(pred_names) != len(label_names):
             raise SchemaError(

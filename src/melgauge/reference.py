@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mel import MelConfig
+from .config import MelConfig
 
 __all__ = [
     "SOURCE_LABEL",

@@ -248,6 +248,41 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == f"error: {pred}: header repeats tag 'a'\n"
 
+    def test_empty_header_column_is_an_error_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        labels = tmp_path / "labels.csv"
+        pred.write_text("a,,b\n0.9,0.5,0.1\n0.1,0.5,0.9\n")
+        labels.write_text("a,,b\n1,1,0\n0,0,1\n")
+        code = main(["evaluate", str(pred), str(labels)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {pred}: header column 2 is empty\n"
+
+    @pytest.mark.parametrize(
+        "pred_rows, label_rows, which, message",
+        [
+            (["0.9,0.1", "0.1,nan"], ["1,0", "0,1"], "pred",
+             "line 3, tag 'b': 'nan' is not a finite score in [0, 1]"),
+            (["0.9,0.1", "1.5,0.9"], ["1,0", "0,1"], "pred",
+             "line 3, tag 'a': '1.5' is not a finite score in [0, 1]"),
+            (["0.9,0.1", "0.1,0.9"], ["1,2", "0,1"], "labels",
+             "line 2, tag 'b': '2' is not a label of 0 or 1"),
+        ],
+        ids=["non-finite-score", "score-out-of-range", "label-not-binary"],
+    )
+    def test_bad_cell_error_names_file_line_and_tag(
+        self, tmp_path, capsys, pred_rows, label_rows, which, message
+    ):
+        paths = {"pred": tmp_path / "pred.csv", "labels": tmp_path / "labels.csv"}
+        paths["pred"].write_text("\n".join(["a,b", *pred_rows]) + "\n")
+        paths["labels"].write_text("\n".join(["a,b", *label_rows]) + "\n")
+        code = main(["evaluate", str(paths["pred"]), str(paths["labels"])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[which]}: {message}\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["evaluate", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])
         assert code == 1
@@ -259,6 +294,44 @@ class TestEvaluate:
         first = capsys.readouterr().out
         main(["evaluate", str(pred), str(labels)])
         assert capsys.readouterr().out == first
+
+
+# ------------------------------------------------- rebound module attributes
+
+
+def test_each_call_goes_through_one_rebound_binding(tone_wav, eval_fixture, tmp_path,
+                                                    monkeypatch, capsys):
+    # A profiler may wrap the functions at mel first and then the names cli
+    # offers. extract must then reach mel_spectrogram and write_mspec through
+    # mel only, so no call passes two wrappers, and evaluate must call
+    # macro_summary through cli's own attribute.
+    import melgauge.cli as cli
+    from melgauge import mel
+
+    calls = []
+
+    def wrap(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return fn(*args, **kwargs)
+
+        # Through the namespace, so that undoing it removes a name cli
+        # had resolved lazily instead of pinning it.
+        monkeypatch.setitem(vars(module), name, counted)
+
+    for module, name in ((mel, "mel_spectrogram"), (mel, "write_mspec"),
+                         (cli, "mel_spectrogram"), (cli, "write_mspec"),
+                         (cli, "macro_summary")):
+        wrap(module, name)
+    out_dir = str(tmp_path / "feats")
+    assert main(["extract", "--sample-rate", "12000", "--mels", "96",
+                 "--out-dir", out_dir, str(tone_wav), str(tone_wav)]) == 0
+    assert main(["evaluate", *map(str, eval_fixture)]) == 0
+    capsys.readouterr()
+    assert calls == 2 * ["melgauge.mel.mel_spectrogram", "melgauge.mel.write_mspec"] + [
+        "melgauge.cli.macro_summary"]
 
 
 # --------------------------------------------------------------- extract

@@ -1,8 +1,11 @@
-"""`import melgauge` and the everyday CLI commands load no scipy module.
+"""What `import melgauge` and each CLI command load, and the public surface.
 
 scipy is needed only by `t_test_independent`, which imports it when
-called; each check runs a fresh interpreter with `-X importtime`, which
-lists every module the process imported on stderr.
+called, and numpy only by the signal chain, metrics and dataset: the
+package resolves its exports on first use, so `import melgauge` and the
+report commands load neither. Each import check runs a fresh interpreter
+with `-X importtime`, which lists every module the process imported on
+stderr.
 """
 
 import os
@@ -13,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import melgauge
+import melgauge.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -57,3 +63,135 @@ def test_no_scipy_module_is_loaded(command, tmp_path):
     modules = imported_modules(command, tmp_path)
     assert "melgauge" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+REPORT_COMMANDS = {
+    "import": ["-c", "import melgauge"],
+    "cost": ["-m", "melgauge", "cost", "--arch", "musicnn-frontend"],
+    "report": ["-m", "melgauge", "report"],
+    "grid": ["-m", "melgauge", "grid", "--format", "json"],
+    "adapt": ["-m", "melgauge", "adapt", "--mels", "96", "--hop-mult", "1",
+              "--sample-rate", "12000"],
+}
+
+
+def numpy_modules(modules):
+    return [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS.keys())
+def test_report_commands_load_no_numpy(command, tmp_path):
+    modules = imported_modules(command, tmp_path)
+    assert "melgauge" in modules
+    assert numpy_modules(modules) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["-m", "melgauge", "evaluate", str(GOLDEN / "pred.csv"), str(GOLDEN / "labels.csv")],
+        ["-m", "melgauge", "extract", "--sample-rate", "16000", "--mels", "96",
+         "--out-dir", "feats", "tone.wav"],
+    ],
+    ids=["evaluate", "extract"],
+)
+def test_signal_and_metric_commands_do_load_numpy(command, tmp_path):
+    # Without this the no-numpy checks above would also pass if the
+    # module listing were empty or numpy were never importable.
+    write_tone(tmp_path / "tone.wav", 16000)
+    assert "numpy" in imported_modules(command, tmp_path)
+
+
+# Every name `melgauge` exported before its exports became lazy.
+EXPORTS = (
+    "DegenerateFilterbankError DegenerateVarianceError EmptySummaryError GridWarning "
+    "ManifestParseError MelGaugeError MspecFormatError OutputPathError SchemaError "
+    "ShapeUnderflowError UndefinedMetricError UnsupportedConfigError "
+    "UnsupportedLayoutError UnsupportedRatioError "
+    "AudioBuffer FrameGrid PowerSpectrogram frame_count hann_window read_raw_float32 "
+    "read_wav_mono resample_rational stft_power "
+    "BENCHMARK_FRAMES COMPRESSIONS MSPEC_HEADER_SIZE MelConfig MelFilterbank "
+    "MelSpectrogram benchmark_frames compress_db compress_log enumerate_grid "
+    "hz_to_mel_slaney is_grid_config mel_filterbank mel_spectrogram mel_to_hz_slaney "
+    "read_mspec write_mspec "
+    "ArchSpec ConvLayerSpec CostReport PoolingPlan ShapeTrace SweepEntry count_macs "
+    "filter_extent grid_cost_sweep musicnn_filter_heights musicnn_frontend_spec "
+    "propagate_shapes vgg_arch vgg_pooling_plan "
+    "MetricSummary TagTable load_tag_table macro_summary pr_auc roc_auc "
+    "t_test_independent "
+    "MTAT_FOLDERS DatasetManifest ManifestItem SplitAssignment canonical_split "
+    "parse_annotations storage_size top_k_tags "
+    "PUBLISHED_AUC SOURCE_LABEL PublishedResult published_auc published_for_config"
+).split()
+
+
+def test_every_export_resolves_and_star_binds_exactly_them():
+    assert len(EXPORTS) == len(set(EXPORTS)) == 74
+    for name in EXPORTS:
+        assert getattr(melgauge, name) is not None, name
+    namespace = {}
+    exec("from melgauge import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    assert melgauge.__version__ == "0.1.0"
+
+
+def test_exports_are_the_defining_modules_objects():
+    from melgauge import config, dsp, mel, metrics
+
+    assert melgauge.MelConfig is mel.MelConfig is config.MelConfig
+    assert melgauge.frame_count is dsp.frame_count is config.frame_count
+    assert melgauge.stft_power is dsp.stft_power
+    assert melgauge.macro_summary is metrics.macro_summary
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    assert set(EXPORTS) <= set(dir(melgauge))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        melgauge.no_such_name
+    with pytest.raises(ImportError):
+        exec("from melgauge import no_such_name", {})
+
+
+def test_cli_still_offers_signal_chain_and_metric_names():
+    from melgauge import dsp, mel, metrics
+
+    cli = melgauge.cli
+    assert cli.dsp is dsp
+    assert cli.mel_spectrogram is mel.mel_spectrogram
+    assert cli.write_mspec is mel.write_mspec
+    assert cli.load_tag_table is metrics.load_tag_table
+    assert cli.macro_summary is metrics.macro_summary
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_moved_names_still_import_from_mel_and_dsp():
+    from melgauge.config import MSPEC_HEADER_SIZE as size
+    from melgauge.dsp import frame_count
+    from melgauge.mel import (
+        MSPEC_HEADER_SIZE,
+        MelConfig,
+        benchmark_frames,
+        enumerate_grid,
+        mspec_size,
+    )
+
+    assert MSPEC_HEADER_SIZE == size == 40
+    assert len(enumerate_grid()) == 88
+    assert MelConfig(12000, 96).hop == 256
+    assert benchmark_frames(16000, 10) == 182
+    assert mspec_size(96, 10) == 96 * 10 * 4 + 40
+    assert frame_count(349440, 256) == 1366
+
+
+def test_config_layer_defines_each_moved_name_once():
+    # mel and dsp re-export what config defines; neither redefines it.
+    sources = {
+        name: (ROOT / "src" / "melgauge" / f"{name}.py").read_text()
+        for name in ("config", "mel", "dsp")
+    }
+    for name in ("MelConfig", "enumerate_grid", "benchmark_frames", "mspec_size",
+                 "frame_count", "grid_hops", "is_grid_config"):
+        defined = [m for m, text in sources.items()
+                   if f"def {name}(" in text or f"class {name}" in text]
+        assert defined == ["config"], name

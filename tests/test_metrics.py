@@ -431,3 +431,63 @@ class TestTagIO:
         with pytest.raises(SchemaError, match="line 2"):
             read_tag_csv(path)
 
+    def test_empty_header_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,,b\n0.1,0.2,0.3\n")
+        with pytest.raises(SchemaError) as err:
+            read_tag_csv(path)
+        assert str(err.value) == f"{path}: header column 2 is empty"
+
+    def test_blank_header_cell_counts_as_empty(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b, \n0.1,0.2,0.3\n")
+        with pytest.raises(SchemaError, match="header column 3 is empty$"):
+            read_tag_csv(path)
+
+    def test_float_spellings_accepted(self, tmp_path):
+        # Cells are parsed by float(): spaces around a number and digit
+        # underscores are accepted ("0_1" is 1.0, "1_0" is 10.0).
+        path = tmp_path / "ok.csv"
+        path.write_text("a,b\n 0.5 ,0_1\n1e-1,  1.\n")
+        names, values = read_tag_csv(path)
+        assert names == ("a", "b")
+        assert values.tolist() == [[0.5, 1.0], [0.1, 1.0]]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("a,b\n 1 ,0_0\n0.0,1.0\n")
+        assert read_tag_csv(labels, labels=True)[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [("nan", "'nan'"), ("inf", "'inf'"), ("-inf", "'-inf'"), ("1_0", "'1_0'"),
+         (" 1.5", "' 1.5'"), ("-0.1", "'-0.1'")],
+    )
+    def test_score_outside_unit_interval_names_line_and_tag(self, tmp_path, cell, shown):
+        path = tmp_path / "pred.csv"
+        path.write_text(f"a,b\n0.1,0.2\n\n0.3,{cell}\n0.4,nan\n")
+        with pytest.raises(SchemaError) as err:
+            read_tag_csv(path)
+        assert str(err.value) == (
+            f"{path}: line 4, tag 'b': {shown} is not a finite score in [0, 1]"
+        )
+
+    @pytest.mark.parametrize("cell", ["2", "0.5", "nan", "inf", "-1", "1_0"])
+    def test_label_other_than_0_or_1_names_line_and_tag(self, tmp_path, cell):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"x,y,z\n1,0,1\n0,{cell},{cell}\n")
+        with pytest.raises(SchemaError) as err:
+            read_tag_csv(path, labels=True)
+        assert str(err.value) == f"{path}: line 3, tag 'y': {cell!r} is not a label of 0 or 1"
+
+    def test_load_tag_table_checks_labels_as_labels(self, tmp_path):
+        pred, labels = self.write_pair(tmp_path, ["0.9,0.1", "0.2,0.8"], ["1,0", "0.5,1"])
+        with pytest.raises(SchemaError, match=r"labels.csv: line 3, tag 'a': '0.5' is not a label"):
+            load_tag_table(pred, labels)
+
+    def test_tag_table_keeps_its_own_value_errors(self):
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            TagTable(scores=[[np.nan]], labels=[[1]], tag_names=("a",))
+        with pytest.raises(ValueError, match=r"^scores must lie in \[0, 1\]$"):
+            TagTable(scores=[[2.0]], labels=[[1]], tag_names=("a",))
+        with pytest.raises(ValueError, match="^labels must be 0/1"):
+            TagTable(scores=[[0.5]], labels=[[2]], tag_names=("a",))
+
