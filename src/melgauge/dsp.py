@@ -40,6 +40,10 @@ RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 8.6
 RESAMPLE_CUTOFF = 0.9
 
+# resample_rational computes each phase this many outputs at a time, so the
+# arrays each tap streams through stay in cache (16384 beat 4096-32768).
+RESAMPLE_BLOCK = 16384
+
 # stft_power windows, transforms and squares this many frames at a time,
 # so its temporaries stay a few hundred kB whatever the clip length.
 STFT_BLOCK_FRAMES = 64
@@ -194,7 +198,8 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     x[J div p - t]; the upsampled stream is never formed. Outputs m and
     m + p share r and read x q samples apart, so each of the p phases is
     one strided multiply-add per tap, summed in descending t (ascending x
-    index), the order of a direct convolution.
+    index), the order of a direct convolution. Each phase runs in blocks
+    of RESAMPLE_BLOCK outputs, which changes no sum.
     """
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -225,11 +230,16 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
         count = -(-(out_len - m0) // p)
         base, r = divmod(delay + m0 * q, p)
         acc = np.zeros(count)
-        term = np.empty(count)
-        for t in range((h.size - 1 - r) // p, -1, -1):
-            start = lead + base - t
-            np.multiply(padded[start : start + q * (count - 1) + 1 : q], h[r + t * p], out=term)
-            acc += term
+        term = np.empty(min(count, RESAMPLE_BLOCK))
+        for first in range(0, count, RESAMPLE_BLOCK):
+            block = acc[first : first + RESAMPLE_BLOCK]
+            product = term[: block.size]
+            origin = lead + base + first * q
+            span = q * (block.size - 1) + 1
+            for t in range((h.size - 1 - r) // p, -1, -1):
+                start = origin - t
+                np.multiply(padded[start : start + span : q], h[r + t * p], out=product)
+                block += product
         out[m0::p] = acc
     out.flags.writeable = False
     return AudioBuffer(out, target_rate)
@@ -248,9 +258,15 @@ def read_wav_mono(path) -> AudioBuffer:
                     f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit"
                 )
             rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
+            declared = wav.getnframes()
+            raw = wav.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from exc
+    if len(raw) != 2 * declared:
+        raise ValueError(
+            f"{path}: truncated WAV: header declares {declared} frames "
+            f"({2 * declared} bytes), data chunk holds {len(raw)} bytes"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     samples.flags.writeable = False
     return AudioBuffer(samples, rate)
@@ -261,6 +277,13 @@ def read_raw_float32(path, sample_rate: int) -> AudioBuffer:
 
     The sample rate is not stored in the file and must be supplied.
     """
-    samples = np.fromfile(str(path), dtype="<f4").astype(np.float64)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) % 4:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes is not a whole number of float32 samples "
+            f"({len(raw) // 4} samples and {len(raw) % 4} bytes over)"
+        )
+    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     samples.flags.writeable = False
     return AudioBuffer(samples, sample_rate)

@@ -5,7 +5,9 @@ credited), which coincides with the trapezoidal curve area but makes tie
 handling exact. PR AUC is average precision: the mean of precision taken
 at the rank of each positive, with ties broken by stable input order.
 Macro summaries skip tags that lack both classes rather than scoring
-them 0.5, and report which tags were skipped.
+them 0.5, and report which tags were skipped; one sort ranks all tags,
+giving exactly the per-tag functions' floats. Tag CSV bodies are parsed
+in one pass, and walked line by line only to name a file's first bad line.
 
 The significance test is Welch's (unequal-variance) two-sided t-test
 with Welch-Satterthwaite degrees of freedom. Two degenerate-variance
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -42,9 +45,8 @@ __all__ = [
 
 def _as_binary(labels) -> np.ndarray:
     arr = np.asarray(labels)
-    values = np.unique(arr)
-    if not np.all(np.isin(values, (0, 1))):
-        raise ValueError(f"labels must be 0/1, found {values[:8]}")
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError(f"labels must be 0/1, found {np.unique(arr)[:8]}")
     return arr.astype(np.int64)
 
 
@@ -103,6 +105,23 @@ class MetricSummary:
     skipped_tags: tuple[str, ...]
 
 
+def _tie_bounds(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of each entry's tie group along the last axis of sorted rows.
+
+    Returns (starts, ends): the group holding sorted position i covers
+    positions starts[i] up to ends[i] - 1.
+    """
+    n = ordered.shape[-1]
+    position = np.arange(n)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    last = np.ones(ordered.shape, dtype=bool)
+    last[..., :-1] = first[..., 1:]
+    starts = np.maximum.accumulate(np.where(first, position, 0), axis=-1)
+    ends = np.minimum.accumulate(np.where(last, position + 1, n)[..., ::-1], axis=-1)[..., ::-1]
+    return starts, ends
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of values, each tie group given the mean of its ranks.
 
@@ -110,11 +129,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     whose mean is (start + end + 1) / 2. Values must be finite.
     """
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], values.size]
+    starts, ends = _tie_bounds(values[order])
     ranks = np.empty(values.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    ranks[order] = (starts + ends + 1) / 2.0
     return ranks
 
 
@@ -172,30 +189,37 @@ def macro_summary(table: TagTable) -> MetricSummary:
 
     A tag is evaluable when both classes appear in its labels; the rest
     are skipped and listed. Raises EmptySummaryError when nothing is
-    evaluable.
+    evaluable. One stable sort of the (tags x items) table gives exactly
+    roc_auc's and pr_auc's floats: rank sums add half-integers, exact in any
+    order, and each AP is the mean of one contiguous run in pr_auc's order.
     """
-    kept_names: list[str] = []
-    per_roc: list[float] = []
-    per_pr: list[float] = []
-    skipped: list[str] = []
-    for j, name in enumerate(table.tag_names):
-        column = table.labels[:, j]
-        positives = int(column.sum())
-        if positives == 0 or positives == column.size:
-            skipped.append(name)
-            continue
-        kept_names.append(name)
-        per_roc.append(roc_auc(table.scores[:, j], column))
-        per_pr.append(pr_auc(table.scores[:, j], column))
-    if not kept_names:
+    labels = table.labels.T
+    positives = labels.sum(axis=1)
+    kept = (positives > 0) & (positives < labels.shape[1])
+    if not kept.any():
         raise EmptySummaryError("no tag has both classes present")
+    scores = table.scores.T[kept]
+    n_pos = positives[kept]
+    n_items = scores.shape[1]
+    order = np.argsort(scores, axis=1, kind="stable")
+    starts, ends = _tie_bounds(np.take_along_axis(scores, order, axis=1))
+    hits = np.take_along_axis(labels[kept], order, axis=1)
+    rank_sums = np.where(hits == 1, (starts + ends + 1) / 2.0, 0.0).sum(axis=1)
+    per_roc = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n_items - n_pos))
+    # pr_auc ranks by descending score with ties in input order: reverse
+    # the tie groups of the ascending sort but not the items inside each.
+    ranked = np.empty_like(hits)
+    np.put_along_axis(ranked, n_items - ends + np.arange(n_items) - starts, hits, axis=1)
+    at_hits = (np.cumsum(ranked, axis=1) / np.arange(1, n_items + 1))[ranked == 1]
+    run_ends = np.cumsum(n_pos)
+    per_pr = [float(at_hits[end - count : end].mean()) for end, count in zip(run_ends, n_pos)]
     return MetricSummary(
-        tag_names=tuple(kept_names),
-        per_tag_roc=tuple(per_roc),
+        tag_names=tuple(compress(table.tag_names, kept)),
+        per_tag_roc=tuple(per_roc.tolist()),
         per_tag_pr=tuple(per_pr),
         macro_roc=float(np.mean(per_roc)),
         macro_pr=float(np.mean(per_pr)),
-        skipped_tags=tuple(skipped),
+        skipped_tags=tuple(compress(table.tag_names, ~kept)),
     )
 
 
@@ -241,42 +265,71 @@ def t_test_independent(sample_a, sample_b) -> tuple[float, float]:
 def read_tag_csv(path, labels: bool = False) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a (header of distinct tag names, one row per item) CSV of numbers.
 
-    Cells are parsed by float() (spaces and digit underscores pass) and
-    must be scores in [0, 1], or with labels=True exactly 0 or 1; the
-    first that is not raises SchemaError naming its line and tag.
+    A leading byte-order mark is dropped. Only the header may quote names.
+    Lines end at \\r\\n, \\n or \\r; all-blank lines are skipped. Cells are
+    parsed as float() parses them (spaces and digit underscores pass) and
+    must be scores in [0, 1], or with labels=True exactly 0 or 1; the first
+    that is not, or a quoted cell, raises SchemaError naming its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = [
-            (i, cells)
-            for i, cells in enumerate(csv.reader(fh), start=1)
-            if any(cell.strip() for cell in cells)
-        ]
-    if not records:
-        raise SchemaError(f"{path}: empty file")
-    names = tuple(cell.strip() for cell in records[0][1])
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for number, cells in enumerate(csv.reader(fh), start=1):
+            if any(cell.strip() for cell in cells):
+                break
+        else:
+            raise SchemaError(f"{path}: empty file")
+        body = fh.read()
+    names = tuple(cell.strip() for cell in cells)
     if "" in names:
         raise SchemaError(f"{path}: header column {names.index('') + 1} is empty")
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
         raise SchemaError(f"{path}: header repeats tag {repeated!r}")
-    rows = []
-    for i, cells in records[1:]:
+    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [line for line in lines if line.replace(",", "").strip()]
+    # A quoted cell never parses, nor does an empty body's one empty cell,
+    # so both fail this pass and are walked line by line.
+    if [row.count(",") for row in rows] == [len(names) - 1] * len(rows):
+        try:
+            values = np.array(",".join(rows).split(","), dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            values = values.reshape(len(rows), len(names))
+            if _in_domain(values, labels).all():
+                return names, values
+    return names, _read_rows_in_order(path, names, lines, number + 1, labels)
+
+
+def _in_domain(values: np.ndarray, labels: bool) -> np.ndarray:
+    return (values == 0.0) | (values == 1.0) if labels else (values >= 0.0) & (values <= 1.0)
+
+
+def _read_rows_in_order(path, names, lines, first_number: int, labels: bool) -> np.ndarray:
+    """read_tag_csv's body one line at a time: its values, or SchemaError
+    for the first bad line."""
+    records = []
+    for i, line in enumerate(lines, start=first_number):
+        if not line.replace(",", "").strip():
+            continue
+        cells = line.split(",")
+        if '"' in line:
+            raise SchemaError(f"{path}: line {i}: quoted cells are only allowed in the header")
         if len(cells) != len(names):
             raise SchemaError(
                 f"{path}: line {i} has {len(cells)} cells, header has {len(names)}"
             )
         try:
-            rows.append([float(cell) for cell in cells])
+            records.append((i, cells, [float(cell) for cell in cells]))
         except ValueError as exc:
             raise SchemaError(f"{path}: line {i}: {exc}") from exc
-    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
-    valid = (values == 0.0) | (values == 1.0) if labels else (values >= 0.0) & (values <= 1.0)
+    values = np.array([row for _, _, row in records], dtype=np.float64).reshape(-1, len(names))
+    valid = _in_domain(values, labels)
     if not valid.all():
         row, col = np.argwhere(~valid)[0]
-        i, cells = records[row + 1]
+        i, cells, _ = records[row]
         allowed = "a label of 0 or 1" if labels else "a finite score in [0, 1]"
         raise SchemaError(f"{path}: line {i}, tag {names[col]!r}: {cells[col]!r} is not {allowed}")
-    return names, values
+    return values
 
 
 def load_tag_table(predictions_path, labels_path) -> TagTable:

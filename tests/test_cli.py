@@ -377,6 +377,26 @@ class TestExtract:
         assert (out_dir / "tone.mspec").exists()
         assert not (out_dir / "bad.mspec").exists()
 
+    def test_truncated_inputs_are_error_lines(self, tone_wav, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        short.write_bytes(tone_wav.read_bytes()[:44 + 31001])
+        partial = tmp_path / "partial.f32"
+        partial.write_bytes(bytes(4 * 12000 + 2))
+        out_dir = tmp_path / "feats"
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "48",
+            "--out-dir", str(out_dir), str(short), str(partial), str(tone_wav),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: {short}: {short}: truncated WAV: header declares 349440 frames "
+            "(698880 bytes), data chunk holds 31001 bytes",
+            f"error: {partial}: {partial}: 48002 bytes is not a whole number of "
+            "float32 samples (12000 samples and 2 bytes over)",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["tone.mspec"]
+
     def test_resamples_to_analysis_rate(self, tmp_path, capsys):
         t = np.arange(16000) / 16000.0
         source = write_wav(tmp_path / "hi.wav", 0.4 * np.sin(2 * np.pi * 440.0 * t), 16000)

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import upfirdn
 
 from melgauge.dsp import (
+    RESAMPLE_BLOCK,
     STFT_BLOCK_FRAMES,
     AudioBuffer,
     FrameGrid,
@@ -350,6 +351,53 @@ def test_resample_length_and_constant_interior(p, q, n, level):
     assert np.all(np.abs(interior - level) <= 1e-12)
 
 
+def _resample_one_pass(x, in_rate, out_rate):
+    """resample_rational as it was before blocking: each phase in one pass
+    over all its outputs, summed in descending t from a zero accumulator."""
+    g = math.gcd(in_rate, out_rate)
+    p, q = out_rate // g, in_rate // g
+    h = _resample_kernel(p, in_rate, out_rate)
+    delay = (h.size - 1) // 2
+    out_len = int(round(x.size * p / q))
+    out = np.empty(out_len)
+    lead = (h.size - 1) // p
+    tail = max(0, (delay + (out_len - 1) * q) // p + 1 - x.size)
+    padded = np.concatenate([np.zeros(lead), x, np.zeros(tail)])
+    for m0 in range(min(p, out_len)):
+        count = -(-(out_len - m0) // p)
+        base, r = divmod(delay + m0 * q, p)
+        acc = np.zeros(count)
+        for t in range((h.size - 1 - r) // p, -1, -1):
+            start = lead + base - t
+            acc += padded[start : start + q * (count - 1) + 1 : q] * h[r + t * p]
+        out[m0::p] = acc
+    return out
+
+
+@pytest.mark.parametrize("rates", PINNED_RATIOS, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_resample_negative_zero_input_bytes(rates):
+    # every sum starts from +0.0, so all -0.0 input gives all +0.0 output
+    x = np.full(4097, -0.0)
+    out = resample_rational(AudioBuffer(x, rates[0]), rates[1]).samples
+    assert out.tobytes() == _resample_one_pass(x, *rates).tobytes()
+    assert out.tobytes() == np.zeros(out.size).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rates, extra", [((16000, 12000), -1), ((16000, 12000), 0), ((16000, 12000), 1), ((48000, 8000), 2)],
+    ids=["3-4-one-short", "3-4-exact", "3-4-one-over", "1-6-two-over"],
+)
+def test_resample_block_boundary_bytes(rng, rates, extra):
+    # input long enough that each phase holds RESAMPLE_BLOCK + extra outputs
+    g = math.gcd(*rates)
+    p, q = rates[1] // g, rates[0] // g
+    n = (RESAMPLE_BLOCK + extra) * q
+    x = rng.uniform(-1.0, 1.0, n)
+    out = resample_rational(AudioBuffer(x, rates[0]), rates[1]).samples
+    assert out.size == (RESAMPLE_BLOCK + extra) * p
+    assert out.tobytes() == _resample_one_pass(x, *rates).tobytes()
+
+
 # ---------------------------------------------------------------- file io
 
 def _write_wav(path, samples_int16, rate, channels=1, width=2):
@@ -385,6 +433,32 @@ def test_wav_reader_rejects_8bit(tmp_path):
         fh.writeframes(bytes(64))
     with pytest.raises(ValueError, match="16-bit"):
         read_wav_mono(path)
+
+
+@pytest.mark.parametrize("data_bytes", [31000, 31001], ids=["cut-at-frame", "cut-mid-sample"])
+def test_wav_reader_rejects_short_data_chunk(tmp_path, data_bytes):
+    # the header declares 16000 frames; the file ends early
+    path = tmp_path / "short.wav"
+    _write_wav(path, np.arange(16000, dtype="<i2"), 16000)
+    path.write_bytes(path.read_bytes()[: 44 + data_bytes])
+    with pytest.raises(ValueError) as err:
+        read_wav_mono(path)
+    assert str(err.value) == (
+        f"{path}: truncated WAV: header declares 16000 frames (32000 bytes), "
+        f"data chunk holds {data_bytes} bytes"
+    )
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_raw_float32_reader_rejects_partial_sample(tmp_path, rng, extra):
+    path = tmp_path / "stream.f32"
+    path.write_bytes(rng.uniform(-1, 1, 777).astype("<f4").tobytes() + bytes(extra))
+    with pytest.raises(ValueError) as err:
+        read_raw_float32(path, 16000)
+    assert str(err.value) == (
+        f"{path}: {3108 + extra} bytes is not a whole number of float32 samples "
+        f"(777 samples and {extra} bytes over)"
+    )
 
 
 def test_raw_float32_reader(tmp_path, rng):

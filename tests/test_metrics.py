@@ -1,10 +1,11 @@
 """Ranking metrics against brute-force oracles, plus the Welch test."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -301,6 +302,32 @@ class TestMacroSummary:
         assert shuffled.per_tag_pr == pytest.approx(base.per_tag_pr, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_items, n_tags, levels", [(1, 3, 2), (7, 6, 2), (40, 9, 4), (300, 5, 11), (3000, 4, 101)])
+def test_macro_summary_equals_per_tag_metrics_exactly(rng, n_items, n_tags, levels):
+    # few score levels, so most tags hold large tie groups; some columns
+    # are forced to one class so that those tags are skipped
+    for _ in range(20):
+        scores = rng.integers(0, levels, size=(n_items, n_tags)) / (levels - 1)
+        labels = (rng.random((n_items, n_tags)) < rng.uniform(0.05, 0.6, n_tags)).astype(int)
+        labels[:, rng.random(n_tags) < 0.25] = 0
+        labels[:, rng.random(n_tags) < 0.15] = 1
+        names = tuple(f"t{j}" for j in range(n_tags))
+        evaluable = [j for j in range(n_tags) if 0 < labels[:, j].sum() < n_items]
+        if not evaluable:
+            with pytest.raises(EmptySummaryError):
+                macro_summary(TagTable(scores, labels, names))
+            continue
+        summary = macro_summary(TagTable(scores, labels, names))
+        per_roc = [roc_auc(scores[:, j], labels[:, j]) for j in evaluable]
+        per_pr = [pr_auc(scores[:, j], labels[:, j]) for j in evaluable]
+        assert summary.tag_names == tuple(names[j] for j in evaluable)
+        assert summary.skipped_tags == tuple(n for j, n in enumerate(names) if j not in evaluable)
+        assert summary.per_tag_roc == tuple(per_roc)
+        assert summary.per_tag_pr == tuple(per_pr)
+        assert summary.macro_roc == float(np.mean(per_roc))
+        assert summary.macro_pr == float(np.mean(per_pr))
+
+
 class TestTagTable:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -385,6 +412,89 @@ class TestWelch:
 
 
 # --------------------------------------------------------------------- I/O
+
+
+def csv_module_read_tag_csv(path, labels=False):
+    """The tag CSV reader as it was before the one-pass parse, kept as the
+    reference: every line goes through csv.reader, every cell through float()."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        records = [
+            (i, cells)
+            for i, cells in enumerate(csv.reader(fh), start=1)
+            if any(cell.strip() for cell in cells)
+        ]
+    if not records:
+        raise SchemaError(f"{path}: empty file")
+    names = tuple(cell.strip() for cell in records[0][1])
+    if "" in names:
+        raise SchemaError(f"{path}: header column {names.index('') + 1} is empty")
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: header repeats tag {repeated!r}")
+    rows = []
+    for i, cells in records[1:]:
+        if len(cells) != len(names):
+            raise SchemaError(
+                f"{path}: line {i} has {len(cells)} cells, header has {len(names)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {i}: {exc}") from exc
+    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+    valid = (values == 0.0) | (values == 1.0) if labels else (values >= 0.0) & (values <= 1.0)
+    if not valid.all():
+        row, col = np.argwhere(~valid)[0]
+        i, cells = records[row + 1]
+        allowed = "a label of 0 or 1" if labels else "a finite score in [0, 1]"
+        raise SchemaError(f"{path}: line {i}, tag {names[col]!r}: {cells[col]!r} is not {allowed}")
+    return names, values
+
+
+def _outcome(reader, path, labels):
+    try:
+        names, values = reader(path, labels=labels)
+    except SchemaError as exc:
+        return "error", str(exc)
+    return names, values.shape, values.tobytes()
+
+
+GOOD_CELLS = ["0", "1", "0.0", "1.0", " 1 ", "0_1", "0_0", "-0", "1e0", "0.25", " .5", "1."]
+# "0\x0b1" holds a line break for str.splitlines but not for csv
+BAD_CELLS = ["", " ", "2", "-0.1", "1_0", "nan", "inf", "-inf", "x", "0.5.", "1__0", "\t0.3x", "0\x0b1"]
+BLANK_LINES = ["", " ", ",", " , ,", "\t"]
+
+
+@st.composite
+def tag_csv_text(draw):
+    """A header, mostly valid, and body lines, mostly as wide as the header,
+    with blank lines, bad cells, short and long rows and mixed line endings."""
+    name = st.sampled_from(["a", "b", " c ", "d", "a b", "", "b "])
+    distinct = st.lists(name, min_size=1, max_size=4, unique_by=str.strip).filter(lambda n: "" not in n)
+    names = draw(st.one_of(distinct, distinct, distinct, st.lists(name, min_size=1, max_size=4)))
+    good = st.sampled_from(GOOD_CELLS)
+    bad = st.sampled_from(BAD_CELLS)
+    row = st.one_of(
+        st.lists(good, min_size=len(names), max_size=len(names)),
+        st.lists(st.one_of(good, good, bad), min_size=len(names), max_size=len(names)),
+        st.lists(good, min_size=1, max_size=len(names) + 1),
+    ).map(",".join)
+    lines = [
+        *draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2)),
+        ",".join(names),
+        *draw(st.lists(st.one_of(row, row, row, st.sampled_from(BLANK_LINES)), max_size=8)),
+    ]
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    text = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=tag_csv_text(), labels=st.booleans())
+def test_reader_equals_csv_module_reader(tmp_path, text, labels):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_tag_csv, path, labels) == _outcome(csv_module_read_tag_csv, path, labels)
 
 
 class TestTagIO:
@@ -491,3 +601,39 @@ class TestTagIO:
         with pytest.raises(ValueError, match="^labels must be 0/1"):
             TagTable(scores=[[0.5]], labels=[[2]], tag_names=("a",))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b\n0\x0b1,0\n", "a,b\n0\x1c1,0\n", "a,b\n0\x851,0\n", "a,b\n0\u20281,0\n",
+         "a,b\r\n0.1,0.2\r\r\n\r0.3,x\n"],
+        ids=["vt", "fs", "nel", "line-separator", "cr-runs"],
+    )
+    def test_only_cr_and_lf_end_lines(self, tmp_path, text):
+        # csv ends lines at \r and \n only; str.splitlines would also split here
+        path = tmp_path / "pred.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_tag_csv, path, False) == _outcome(csv_module_read_tag_csv, path, False)
+        assert _outcome(read_tag_csv, path, False)[0] == "error"
+
+    def test_quoted_header_names_are_parsed_as_csv(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text('"a,b", "c"\n0.1,0.2\n')
+        names, values = read_tag_csv(path)
+        assert names == ("a,b", '"c"')
+        assert values.tolist() == [[0.1, 0.2]]
+
+    @pytest.mark.parametrize("body", ['0.1,"0.2"\n', '""\n', '0.1,0.2"\n'], ids=["quoted-cell", "empty-quotes", "stray-quote"])
+    def test_quoted_body_cell_rejected_with_its_line(self, tmp_path, body):
+        path = tmp_path / "pred.csv"
+        path.write_text("a,b\n\n0.3,0.4\n" + body + "0.5,x\n")
+        with pytest.raises(SchemaError) as err:
+            read_tag_csv(path)
+        assert str(err.value) == f"{path}: line 4: quoted cells are only allowed in the header"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        pred = tmp_path / "pred.csv"
+        labels = tmp_path / "labels.csv"
+        pred.write_bytes("\ufeffa,b\n0.9,0.1\n0.2,0.8\n".encode("utf-8"))
+        labels.write_text("a,b\n1,0\n0,1\n")
+        table = load_tag_table(pred, labels)
+        assert table.tag_names == ("a", "b")
+        assert table.scores.tolist() == [[0.9, 0.1], [0.2, 0.8]]
