@@ -17,6 +17,13 @@ with a `warning: ...` line on stderr unless --grid-strict is given.
 cost, report, grid and adapt need only the configuration layer, the cost
 models and the reference table, none of which imports numpy. extract
 and evaluate import the signal chain and the metrics when they run.
+
+extract runs its inputs on min(inputs, usable cores) worker threads, one
+input each at a time, and prints each input's line in input order once
+it and every input before it are done. Unless numpy is already loaded,
+it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1, so BLAS starts no threads of its own beside the
+workers.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ import csv
 import importlib
 import io
 import json
+import os
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -337,15 +346,21 @@ def cmd_evaluate(args) -> int:
 def _extract_one(input_path: str, config: MelConfig, out_path: Path, input_rate: int | None):
     from . import dsp, mel
 
-    path = Path(input_path)
-    if path.suffix.lower() == ".wav":
-        audio = dsp.read_wav_mono(path)
+    if Path(input_path).suffix.lower() == ".wav":
+        audio = dsp.read_wav_mono(input_path)
     else:
         rate = input_rate if input_rate is not None else config.sample_rate
-        audio = dsp.read_raw_float32(path, rate)
+        audio = dsp.read_raw_float32(input_path, rate)
     if audio.sample_rate != config.sample_rate:
         audio = dsp.resample_rational(audio, config.sample_rate)
     return mel.write_mspec(out_path, mel.mel_spectrogram(audio, config))
+
+
+def _reason(input_path: str, exc: Exception) -> str:
+    """exc's message without the input path its error line already names."""
+    if isinstance(exc, OSError) and exc.filename == input_path and exc.strerror:
+        return exc.strerror
+    return str(exc).removeprefix(f"{input_path}: ")
 
 
 def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:
@@ -367,6 +382,18 @@ def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:
     return paths
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# OpenBLAS, OpenMP and MKL run each matrix product on a pool of one thread
+# per core; beside one extract worker per core those threads only contend.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def cmd_extract(args) -> int:
     if not args.inputs:
         print("warning: no input files given", file=sys.stderr)
@@ -383,15 +410,53 @@ def cmd_extract(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputPathError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
+    # BLAS reads these once, when numpy loads; a value already set wins.
+    if "numpy" not in sys.modules:
+        for name in _BLAS_THREAD_VARIABLES:
+            os.environ.setdefault(name, "1")
+    importlib.import_module(".mel", __package__)  # numpy loads here, not in a worker
+
+    jobs = list(zip(args.inputs, out_paths))
+    outcomes: list = [None] * len(jobs)  # bytes written, or the exception raised
+    finished = [threading.Event() for _ in jobs]
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            input_path, out_path = jobs[index]
+            try:
+                outcomes[index] = _extract_one(input_path, config, out_path, args.input_rate)
+            except BaseException as exc:  # handed to the main thread below
+                outcomes[index] = exc
+            finished[index].set()
+
+    workers = [threading.Thread(target=work) for _ in range(min(len(jobs), _usable_cores()))]
+    for worker in workers:
+        worker.start()
     failures = 0
-    for input_path, out_path in zip(args.inputs, out_paths):
-        try:
-            n_bytes = _extract_one(input_path, config, out_path, args.input_rate)
-        except (MelGaugeError, OSError, ValueError) as exc:
-            failures += 1
-            print(f"error: {input_path}: {exc}", file=sys.stderr)
-        else:
-            print(f"wrote {out_path} ({n_bytes} bytes)")
+    try:
+        for index, (input_path, out_path) in enumerate(jobs):
+            finished[index].wait()
+            outcome = outcomes[index]
+            if isinstance(outcome, (MelGaugeError, OSError, ValueError)):
+                failures += 1
+                print(f"error: {input_path}: {_reason(input_path, outcome)}", file=sys.stderr)
+            elif isinstance(outcome, BaseException):
+                raise outcome
+            else:
+                print(f"wrote {out_path} ({outcome} bytes)")
+    finally:
+        # After an exception no input starts; those already running finish.
+        with lock:
+            for _ in pending:
+                pass
+        for worker in workers:
+            worker.join()
     return 1 if failures else 0
 
 

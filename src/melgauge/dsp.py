@@ -248,7 +248,11 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 
 def read_wav_mono(path) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file, scaled to [-1, 1] by 1/32768."""
+    """Read a mono 16-bit PCM WAV file, scaled to [-1, 1] by 1/32768.
+
+    A data chunk of an odd number of bytes, or one holding fewer bytes
+    than its header declares, raises ValueError naming the counts.
+    """
     try:
         with wave.open(str(path), "rb") as wav:
             if wav.getnchannels() != 1:
@@ -261,9 +265,17 @@ def read_wav_mono(path) -> AudioBuffer:
                 )
             rate = wav.getframerate()
             declared = wav.getnframes()
+            # wave counts frames as the chunk size // 2 and would drop an odd
+            # last byte; it offers no public accessor for the chunk size.
+            chunk_bytes = wav._data_chunk.chunksize
             raw = wav.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from exc
+    if chunk_bytes != 2 * declared:
+        raise ValueError(
+            f"{path}: WAV data chunk of {chunk_bytes} bytes is not a whole number of "
+            f"16-bit frames ({declared} frames and 1 byte over)"
+        )
     if len(raw) != 2 * declared:
         raise ValueError(
             f"{path}: truncated WAV: header declares {declared} frames "

@@ -1,4 +1,5 @@
 import math
+import struct
 import wave
 
 import numpy as np
@@ -446,6 +447,25 @@ def test_wav_reader_rejects_short_data_chunk(tmp_path, data_bytes):
     assert str(err.value) == (
         f"{path}: truncated WAV: header declares 16000 frames (32000 bytes), "
         f"data chunk holds {data_bytes} bytes"
+    )
+
+
+def test_wav_reader_rejects_odd_sized_data_chunk(tmp_path):
+    # 100 frames and one byte more, hand-patched into the header, then the
+    # RIFF pad byte that keeps a chunk after it on an even offset
+    path = tmp_path / "odd.wav"
+    _write_wav(path, np.arange(100, dtype="<i2"), 16000)
+    data = bytearray(path.read_bytes())
+    assert data[36:40] == b"data"
+    data += b"\x07\x00"
+    struct.pack_into("<I", data, 40, 201)
+    struct.pack_into("<I", data, 4, len(data) - 8)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as err:
+        read_wav_mono(path)
+    assert str(err.value) == (
+        f"{path}: WAV data chunk of 201 bytes is not a whole number of 16-bit frames "
+        "(100 frames and 1 byte over)"
     )
 
 

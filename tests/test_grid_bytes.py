@@ -7,12 +7,19 @@ the digest below. The digests come from computing every cell with its
 own STFT and filterbank, so this pins that mel_spectrogram's spectrum
 reuse across hops and its filterbank cache leave the bytes unchanged.
 
-Reprint the table (after a deliberate output change) with:
+A second, smaller table pins six cells as a fresh `python -m melgauge
+extract` process writes them from float32 copies of the same clips.
+
+Reprint the tables (after a deliberate output change) with:
 
     PYTHONPATH=src python tests/test_grid_bytes.py
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -149,10 +156,68 @@ def test_every_grid_cell_keeps_its_bytes(tmp_path):
     assert grid_digests(tmp_path) == DIGESTS
 
 
+def float32_clip(sample_rate: int) -> np.ndarray:
+    """grid_clip as the raw float32 stream `extract` reads."""
+    return grid_clip(sample_rate).samples.astype("<f4")
+
+
+def extract_digests(tmp_dir) -> dict[str, str]:
+    configs = {config.config_id: config for config in enumerate_grid()}
+    digests = {}
+    for config_id in EXTRACT_DIGESTS:
+        config = configs[config_id]
+        audio = AudioBuffer(float32_clip(config.sample_rate).astype(np.float64),
+                            config.sample_rate)
+        path = tmp_dir / f"{config_id}.mspec"
+        write_mspec(path, mel_spectrogram(audio, config))
+        digests[config_id] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# From extract_digests, one process with numpy's default BLAS threads.
+EXTRACT_DIGESTS = {
+    "12000Hz-96mel-x1-dB": "f66085a11b456ccdaabf6db150adf4dd1ce5ae4535d02fbecf1679a56f3e6044",
+    "12000Hz-48mel-x4-log": "f17e18a81c7a93263bb954381489b27bdbf264f8f89bd7d6c1f21d0650b47da6",
+    "12000Hz-8mel-x1-dB": "998738a86b03ed7f762ff3fa4212b96f8620944ffb92a7cac927e293d32f8c8e",
+    "16000Hz-128mel-x1-log": "d8e097e46ced129f09ab014cec471486820c50bcb50f6400f66740890825c1e8",
+    "16000Hz-96mel-x10-dB": "2b4d4bbf674f5b9294fc993b10bd9d946db6f5be85145a7a5f880e31d0f402eb",
+    "16000Hz-24mel-x1-log": "8a519e2111ffd20985b39fcc29e4cabb2c0245d4aa3906446cf3d62ac1540daf",
+}
+
+
+def test_extract_process_keeps_the_bytes(tmp_path):
+    # With no BLAS thread variable set, extract pins one BLAS thread before
+    # numpy loads, and two inputs run on two workers; no byte may change.
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    configs = {config.config_id: config for config in enumerate_grid()}
+    for rate in (12000, 16000):
+        clip = float32_clip(rate)
+        for stem in ("a", "b"):
+            clip.tofile(tmp_path / f"{rate}-{stem}.f32")
+    for config_id, digest in EXTRACT_DIGESTS.items():
+        config = configs[config_id]
+        out_dir = tmp_path / config_id
+        subprocess.run(
+            [sys.executable, "-m", "melgauge", "extract",
+             "--sample-rate", str(config.sample_rate), "--mels", str(config.n_mels),
+             "--hop-mult", str(config.hop_multiplier), "--compression", config.compression,
+             "--out-dir", str(out_dir),
+             *(str(tmp_path / f"{config.sample_rate}-{stem}.f32") for stem in ("a", "b"))],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.iterdir()}
+        stems = (f"{config.sample_rate}-a.mspec", f"{config.sample_rate}-b.mspec")
+        assert written == dict.fromkeys(stems, digest), config_id
+
+
 if __name__ == "__main__":
     import tempfile
-    from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
-        for config_id, digest in grid_digests(Path(tmp)).items():
-            print(f'    "{config_id}": "{digest}",')
+        for table in (grid_digests, extract_digests):
+            for config_id, digest in table(Path(tmp)).items():
+                print(f'    "{config_id}": "{digest}",')
+            print()

@@ -79,7 +79,7 @@ REPORT_COMMANDS = {
 def test_report_commands_load_no_numpy(command, tmp_path):
     modules = imported_modules(command, tmp_path)
     assert "melgauge" in modules
-    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert [m for m in modules if m.split(".")[0] in ("numpy", "concurrent")] == []
 
 
 @pytest.mark.parametrize(
@@ -96,6 +96,37 @@ def test_signal_and_metric_commands_do_load_numpy(command, tmp_path):
     # does show numpy where it is imported.
     write_tone(tmp_path / "tone.wav", 16000)
     assert "numpy" in imported_modules(command, tmp_path)
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "prelude, preset, expected",
+    [
+        ("", None, "1 1 1"),
+        ("", "3", "3 1 1"),
+        ("import numpy; ", None, "None None None"),
+    ],
+    ids=["pinned", "user-value-wins", "numpy-already-loaded"],
+)
+def test_extract_pins_blas_threads_only_before_numpy_loads(prelude, preset, expected, tmp_path):
+    write_tone(tmp_path / "tone.wav", 16000)
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        f"{prelude}import os, melgauge.cli; "
+        "code = melgauge.cli.main(['extract', '--sample-rate', '16000', '--mels', '96', "
+        "'--out-dir', 'feats', 'tone.wav']); "
+        f"print(code, *(os.environ.get(name) for name in {BLAS_THREAD_VARIABLES!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
 
 
 # Every name `melgauge` exported before its exports became lazy.
