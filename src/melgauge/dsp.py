@@ -40,11 +40,12 @@ RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 8.6
 RESAMPLE_CUTOFF = 0.9
 
-# resample_rational computes each phase this many outputs at a time, so the
-# arrays each tap streams through stay in cache. 16384 was a little faster,
-# but its 128 KiB buffer meets glibc's default mmap threshold, and that
-# raised the peak RSS of a 5-clip, 88-cell grid run by about 2 MB.
-RESAMPLE_BLOCK = 8192
+# resample_rational computes each phase this many outputs at a time: one
+# multiply of every tap by its inputs into a (taps x block) buffer, then one
+# reduce down the taps. On a 2-vCPU x86-64 host a 29.1 s 16 -> 12 kHz clip
+# took about 36 ms at 1024 or 2048, 22 ms at 4096, and no less at 8192,
+# which doubles the 2 MB buffer.
+RESAMPLE_BLOCK = 4096
 
 # stft_power windows, transforms and squares this many frames at a time,
 # so its temporaries stay a few hundred kB whatever the clip length.
@@ -182,8 +183,13 @@ def _resample_kernel(p: int, in_rate: int, out_rate: int) -> np.ndarray:
     h = 2.0 * fc * np.sinc(2.0 * fc * m) * np.kaiser(n_taps, RESAMPLE_KAISER_BETA)
     # Unit DC gain per output phase: branch r feeds output samples congruent
     # to r mod p, so normalizing each branch keeps constants exactly constant.
-    for r in range(p):
-        h[r::p] /= h[r::p].sum()
+    # Row r of branches is h[r::p], zero-filled to a common length; summing
+    # contiguous rows gives the bits of h[r::p].sum(), since the one zero
+    # added at the end of a row changes no sum.
+    branches = np.zeros((RESAMPLE_TAPS_PER_PHASE + 1) * p)
+    branches[:n_taps] = h
+    branches = np.ascontiguousarray(branches.reshape(-1, p).T)
+    h /= np.resize(branches.sum(axis=1), n_taps)
     return h
 
 
@@ -198,10 +204,14 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     h, where delay centres the kernel. Only the taps h[r + t*p] with
     r = J mod p meet nonzero samples, so y[m] = sum_t h[r + t*p] *
     x[J div p - t]; the upsampled stream is never formed. Outputs m and
-    m + p share r and read x q samples apart, so each of the p phases is
-    one strided multiply-add per tap, summed in descending t (ascending x
-    index), the order of a direct convolution. Each phase runs in blocks
-    of RESAMPLE_BLOCK outputs, which changes no sum.
+    m + p share r and read x q samples apart, so each of the p phases runs
+    in blocks of RESAMPLE_BLOCK outputs, and each block is one multiply of
+    a (taps x outputs) strided view of x by the phase's tap column, with
+    rows in descending t (ascending x index), and one np.add.reduce down
+    the rows from +0.0. That adds each output's products in row order, the
+    order of a direct convolution, as long as the reduced array has two or
+    more columns: with one, numpy sums the column pairwise. So every block
+    reduces one spare column beside its outputs.
     """
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -223,26 +233,31 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     delay = (h.size - 1) // 2
     out_len = int(round(x.size * p / q))
     out = np.empty(out_len)
+    # Outputs in phase 0, the most of any phase; 1 when there are none, so
+    # that the view below is still defined.
+    longest = max(1, -(-out_len // p))
     # Zeros around x stand in for the taps that fall off either end; the
-    # largest t, (h.size - 1) // p, reads furthest before x.
+    # largest t, (h.size - 1) // p, reads furthest before x. The tail lets
+    # every phase read as if it held `longest` outputs, so one view serves all.
     lead = (h.size - 1) // p
-    tail = max(0, (delay + (out_len - 1) * q) // p + 1 - x.size)
+    tail = max(0, (delay + (longest * p - 1) * q) // p + 1 - x.size)
     padded = np.concatenate([np.zeros(lead), x, np.zeros(tail)])
+    strided = sliding_window_view(padded, (longest - 1) * q + 1)[:, ::q]  # [s, k] = padded[s + k*q]
+    width = min(longest, RESAMPLE_BLOCK)
+    products = np.zeros((lead + 1, width + 1))  # the last column is the spare
+    sums = np.empty(width + 1)
     for m0 in range(min(p, out_len)):
         count = -(-(out_len - m0) // p)
         base, r = divmod(delay + m0 * q, p)
-        acc = np.zeros(count)
-        term = np.empty(min(count, RESAMPLE_BLOCK))
+        taps = h[r::p][::-1, np.newaxis]  # descending t
+        rows = strided[lead + base + 1 - taps.size : lead + base + 1]
+        phase_out = out[m0::p]
         for first in range(0, count, RESAMPLE_BLOCK):
-            block = acc[first : first + RESAMPLE_BLOCK]
-            product = term[: block.size]
-            origin = lead + base + first * q
-            span = q * (block.size - 1) + 1
-            for t in range((h.size - 1 - r) // p, -1, -1):
-                start = origin - t
-                np.multiply(padded[start : start + span : q], h[r + t * p], out=product)
-                block += product
-        out[m0::p] = acc
+            n = min(RESAMPLE_BLOCK, count - first)
+            block = products[: taps.size, : n + 1]
+            np.multiply(rows[:, first : first + n], taps, out=block[:, :n])
+            np.add.reduce(block, axis=0, initial=0.0, out=sums[: n + 1])
+            phase_out[first : first + n] = sums[:n]
     out.flags.writeable = False
     return AudioBuffer(out, target_rate)
 
@@ -281,7 +296,8 @@ def read_wav_mono(path) -> AudioBuffer:
             f"{path}: truncated WAV: header declares {declared} frames "
             f"({2 * declared} bytes), data chunk holds {len(raw)} bytes"
         )
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    # One conversion; scaling by a power of two is exact.
+    samples = np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0, dtype=np.float64)
     samples.flags.writeable = False
     return AudioBuffer(samples, rate)
 

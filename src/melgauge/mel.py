@@ -157,22 +157,28 @@ def mel_filterbank(config: MelConfig) -> MelFilterbank:
     return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1].copy())
 
 
-def compress_db(power):
-    """Power to decibels: 10*log10(max(x, 1e-10)), elementwise."""
+def compress_db(power, out=None):
+    """Power to decibels: 10*log10(max(x, 1e-10)), elementwise.
+
+    The result is a new array, or out (a float64 array, power itself
+    allowed) when given.
+    """
     x = np.asarray(power, dtype=np.float64)
-    out = np.maximum(x, DB_FLOOR_EPS, out=np.empty(x.shape))
+    out = np.maximum(x, DB_FLOOR_EPS, out=np.empty(x.shape) if out is None else out)
     np.log10(out, out=out)
     out *= 10.0
     return float(out) if np.isscalar(power) else out
 
 
-def compress_log(power):
+def compress_log(power, out=None):
     """Logarithmic compression: ln(1 + 10000 * x), elementwise.
 
-    Zero maps to zero exactly, and the map is strictly increasing.
+    Zero maps to zero exactly, and the map is strictly increasing. The
+    result is a new array, or out (a float64 array, power itself allowed)
+    when given.
     """
     x = np.asarray(power, dtype=np.float64)
-    out = np.multiply(x, LOG_COMPRESSION_GAIN, out=np.empty(x.shape))
+    out = np.multiply(x, LOG_COMPRESSION_GAIN, out=np.empty(x.shape) if out is None else out)
     np.log1p(out, out=out)
     return float(out) if np.isscalar(power) else out
 
@@ -232,10 +238,6 @@ def _power_bins(audio: AudioBuffer, grid: FrameGrid) -> np.ndarray:
     return spectrum.bins
 
 
-def _compress(power: np.ndarray, compression: str) -> np.ndarray:
-    return compress_db(power) if compression == "dB" else compress_log(power)
-
-
 @dataclass(frozen=True)
 class MelSpectrogram:
     """Compressed mel spectrogram: values is (n_mels, n_frames)."""
@@ -271,8 +273,10 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
         )
     grid = FrameGrid(frame_size=config.frame_size, hop=config.hop)
     fb = _cached_filterbank(config)
-    values = _compress(fb.weights @ _power_bins(audio, grid), config.compression)
-    return MelSpectrogram(values=values, config=config)
+    power = fb.weights @ _power_bins(audio, grid)
+    compress = compress_db if config.compression == "dB" else compress_log
+    # the product is a fresh array, so it is compressed over itself
+    return MelSpectrogram(values=compress(power, out=power), config=config)
 
 
 # Field values of the .mspec header (its layout is config._MSPEC_HEADER).
@@ -307,7 +311,7 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
         _DTYPE_FLOAT32,
         b"\x00" * 9,
     )
-    payload = np.ascontiguousarray(mel.values, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(mel.values, dtype="<f4")
     path = Path(path)
     # Named per process and thread, so concurrent writers of one path
     # never share a temporary file.
@@ -320,7 +324,7 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
     except BaseException:
         tmp_path.unlink(missing_ok=True)
         raise
-    return len(header) + len(payload)
+    return len(header) + payload.nbytes
 
 
 def read_mspec(path) -> MelSpectrogram:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import threading
 import wave
 
 import numpy as np
@@ -384,6 +386,23 @@ def test_resample_negative_zero_input_bytes(rates):
     assert out.tobytes() == np.zeros(out.size).tobytes()
 
 
+@pytest.mark.parametrize("rates", PINNED_RATIOS, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_resample_negative_zero_products_sum_to_positive_zero(rates):
+    # signed zeros that make every product of one output -0.0; a sum that
+    # started from its first product instead of +0.0 would give -0.0 there
+    g = math.gcd(*rates)
+    p, q = rates[1] // g, rates[0] // g
+    h = _resample_kernel(p, *rates)
+    x = np.zeros(4097)
+    m = int(round(x.size * p / q)) // 2
+    base, r = divmod((h.size - 1) // 2 + m * q, p)
+    t = np.arange((h.size - 1 - r) // p + 1)
+    x[base - t] = np.copysign(0.0, -h[r + t * p])
+    out = resample_rational(AudioBuffer(x, rates[0]), rates[1]).samples
+    assert out.tobytes() == _resample_one_pass(x, *rates).tobytes()
+    assert out.tobytes() == np.zeros(out.size).tobytes()
+
+
 @pytest.mark.parametrize(
     "rates, extra", [((16000, 12000), -1), ((16000, 12000), 0), ((16000, 12000), 1), ((48000, 8000), 2)],
     ids=["3-4-one-short", "3-4-exact", "3-4-one-over", "1-6-two-over"],
@@ -397,6 +416,87 @@ def test_resample_block_boundary_bytes(rng, rates, extra):
     out = resample_rational(AudioBuffer(x, rates[0]), rates[1]).samples
     assert out.size == (RESAMPLE_BLOCK + extra) * p
     assert out.tobytes() == _resample_one_pass(x, *rates).tobytes()
+
+
+# sha256 of _resample_kernel's bytes for each of PINNED_RATIOS, taken when
+# each phase was still normalised by its own h[r::p].sum() call.
+KERNEL_SHA256 = {
+    (22050, 12000): "62c2e7d04c7acf3e61f6d57a771a57456690e767f48b860a41f2350200595310",
+    (44100, 16000): "eaf6b16478871a5b6d155d7bcf3a27fba5d6a79aaf78d8cbc33e6255a9c59687",
+    (16000, 12000): "ce38c5c2675cae124ee7748c42fe945fe5f1433da8e43fa03d67e477c83236ec",
+    (12000, 16000): "ac1a00c41661f884fe895d3d3f6fa0171a89ead2b550ca53ee06c372eb4c8a45",
+    (24000, 16000): "3c0bb6de1d19a0264d4d28deb282fb13a7bce978707e1835b8c425707723de50",
+    (48000, 8000): "42dcaa60039d2cd3d10a3b3ce43cb64fbd1e590150277023eade4ed9ace9e5cc",
+    (8000, 48000): "fd136acf23671128b1b3ec847073d9f2340ca16ca5146910849e2a9dc4abc631",
+}
+
+
+@pytest.mark.parametrize("rates", PINNED_RATIOS, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_resample_kernel_bytes_pinned(rates):
+    p = rates[1] // math.gcd(*rates)
+    h = _resample_kernel(p, *rates)
+    assert hashlib.sha256(h.tobytes()).hexdigest() == KERNEL_SHA256[rates]
+
+
+@pytest.mark.parametrize(
+    "rates", [(22050, 12000), (44100, 16000), (12000, 16000)], ids=["80-147", "160-441", "4-3"]
+)
+@pytest.mark.parametrize(
+    "per_phase", [1, RESAMPLE_BLOCK - 1, RESAMPLE_BLOCK, RESAMPLE_BLOCK + 1],
+    ids=["one", "block-1", "block", "block+1"],
+)
+def test_resample_phase_block_bytes(rng, rates, per_phase):
+    # q * per_phase input samples give per_phase outputs in each of the p phases
+    g = math.gcd(*rates)
+    p, q = rates[1] // g, rates[0] // g
+    x = rng.uniform(-1.0, 1.0, per_phase * q)
+    out = resample_rational(AudioBuffer(x, rates[0]), rates[1]).samples
+    assert out.size == per_phase * p
+    assert out.tobytes() == _resample_one_pass(x, *rates).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(1, 40),
+    q=st.integers(1, 40),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+def test_resample_bytes_equal_one_pass(p, q, n, seed, zeros):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    if zeros:  # runs of -0.0 check that every sum starts from +0.0
+        x[rng.integers(0, n, n // 2)] = -0.0
+    out = resample_rational(AudioBuffer(x, 100 * q), 100 * p).samples
+    if p == q:
+        assert out.tobytes() == x.tobytes()
+    else:
+        assert out.tobytes() == _resample_one_pass(x, 100 * q, 100 * p).tobytes()
+
+
+def test_resample_threads_match_serial_bytes(rng):
+    clips = [
+        AudioBuffer(rng.uniform(-1.0, 1.0, 2 * 22050), 22050),
+        AudioBuffer(rng.uniform(-1.0, 1.0, 2 * 44100), 44100),
+    ]
+    targets = [12000, 16000]
+    serial = [resample_rational(c, t).samples.tobytes() for c, t in zip(clips, targets)]
+    for _ in range(3):
+        results = [None, None]
+        start = threading.Barrier(2, timeout=30)
+
+        def work(i):
+            start.wait()
+            results[i] = resample_rational(clips[i], targets[i]).samples.tobytes()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert results == serial
 
 
 # ---------------------------------------------------------------- file io
@@ -416,6 +516,14 @@ def test_wav_reader_roundtrip(tmp_path):
     audio = read_wav_mono(path)
     assert audio.sample_rate == 12000
     assert audio.samples == pytest.approx(values / 32768.0, abs=0.0)
+
+
+def test_wav_reader_scales_every_int16_like_divide(tmp_path):
+    values = np.arange(-32768, 32768, dtype="<i2")
+    path = tmp_path / "all.wav"
+    _write_wav(path, values, 16000)
+    expected = values.astype(np.float64) / 32768.0
+    assert read_wav_mono(path).samples.tobytes() == expected.tobytes()
 
 
 def test_wav_reader_rejects_stereo(tmp_path):

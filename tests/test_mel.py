@@ -218,6 +218,32 @@ def _fresh_mel(audio, config):
     return compress_db(power) if config.compression == "dB" else compress_log(power)
 
 
+@pytest.mark.parametrize("compression", ["dB", "log"])
+def test_mel_spectrogram_bytes_match_public_compression(rng, monkeypatch, compression):
+    monkeypatch.setattr(mel, "_spectrum_slot", None)
+    audio = AudioBuffer(rng.uniform(-1.0, 1.0, 12000), 12000)
+    config = MelConfig(12000, 48, 2, compression)
+    got = mel_spectrogram(audio, config).values
+    assert got.tobytes() == _fresh_mel(audio, config).tobytes()
+
+
+def test_public_compressions_return_new_arrays(rng):
+    power = rng.uniform(0.0, 2.0, (4, 9))
+    before = power.tobytes()
+    for compress in (compress_db, compress_log):
+        out = compress(power)
+        assert out is not power and not np.shares_memory(out, power)
+        assert power.tobytes() == before
+
+
+def test_compressions_over_their_input_give_the_same_bytes(rng):
+    for compress in (compress_db, compress_log):
+        power = rng.uniform(0.0, 2.0, (4, 9))
+        expected = compress(power).tobytes()
+        assert compress(power, out=power) is power
+        assert power.tobytes() == expected
+
+
 @pytest.fixture
 def counted_stfts(monkeypatch):
     """Hops of the STFTs mel_spectrogram runs, with an empty spectrum slot."""
@@ -443,6 +469,19 @@ def test_mspec_roundtrip(tmp_path, rng):
     assert spec_out.config.hop_multiplier == 2
     assert spec_out.config.compression == "log"
     assert spec_out.config.frame_size == 512
+
+
+@pytest.mark.parametrize("layout", ["float32-transposed", "float64-contiguous"])
+def test_mspec_payload_is_row_major_float32(tmp_path, rng, layout):
+    values = rng.standard_normal((24, 37))
+    if layout == "float32-transposed":
+        values = np.ascontiguousarray(values.T.astype(np.float32)).T
+    config = MelConfig(16000, 24, 1, "dB")
+    path = tmp_path / "clip.mspec"
+    n_bytes = write_mspec(path, MelSpectrogram(values=values, config=config))
+    payload = path.read_bytes()[MSPEC_HEADER_SIZE:]
+    assert n_bytes == MSPEC_HEADER_SIZE + len(payload)
+    assert payload == values.astype("<f4").tobytes(order="C")
 
 
 def test_failed_mspec_write_keeps_existing_target(tmp_path, monkeypatch):
