@@ -15,8 +15,8 @@ from melgauge import (
     MelConfig,
     benchmark_frames,
     canonical_split,
+    mspec_size,
     parse_annotations,
-    storage_size,
     top_k_tags,
 )
 
@@ -38,7 +38,7 @@ with tempfile.TemporaryDirectory() as workdir:
     manifest = parse_annotations(annot)
 
 print(f"parsed {len(manifest)} clips, {len(manifest.tag_names)} tags, "
-      f"{len({i.folder for i in manifest.items})} folders")
+      f"{len(set(manifest.folders))} folders")
 
 split = canonical_split(manifest)
 train, valid, test = split.sizes
@@ -56,8 +56,8 @@ full = MelConfig(12000, 96)
 lean = MelConfig(12000, 48, hop_multiplier=2)
 frames_full = benchmark_frames(12000, 1)
 frames_lean = benchmark_frames(12000, 2)
-bytes_full = len(split.train) * storage_size(full, frames_full)
-bytes_lean = len(split.train) * storage_size(lean, frames_lean)
+bytes_full = len(split.train) * mspec_size(full.n_mels, frames_full)
+bytes_lean = len(split.train) * mspec_size(lean.n_mels, frames_lean)
 print(f"\ntraining-set features at {full.config_id}: {bytes_full / 1e6:.1f} MB")
 print(f"training-set features at {lean.config_id}: {bytes_lean / 1e6:.1f} MB")
 print(f"reduction: {bytes_full / bytes_lean:.2f}x")

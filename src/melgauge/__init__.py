@@ -24,7 +24,7 @@ _EXPORTS = {
         ),
         "config": (
             "BENCHMARK_FRAMES", "COMPRESSIONS", "MSPEC_HEADER_SIZE", "MelConfig",
-            "benchmark_frames", "enumerate_grid", "frame_count", "is_grid_config",
+            "benchmark_frames", "enumerate_grid", "frame_count", "is_grid_config", "mspec_size",
         ),
         "dsp": (
             "AudioBuffer", "FrameGrid", "PowerSpectrogram", "hann_window",
@@ -47,7 +47,7 @@ _EXPORTS = {
         ),
         "dataset": (
             "MTAT_FOLDERS", "DatasetManifest", "ManifestItem", "SplitAssignment",
-            "canonical_split", "parse_annotations", "storage_size", "top_k_tags",
+            "canonical_split", "parse_annotations", "top_k_tags",
         ),
         "reference": (
             "PUBLISHED_AUC", "SOURCE_LABEL", "PublishedResult", "published_auc",

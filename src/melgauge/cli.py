@@ -18,10 +18,11 @@ cost, report, grid and adapt need only the configuration layer, the cost
 models and the reference table, none of which imports numpy. extract
 and evaluate import the signal chain and the metrics when they run.
 
-extract runs its inputs on min(inputs, usable cores) worker threads, one
-input each at a time, and prints each input's line in input order once
-it and every input before it are done. Unless numpy is already loaded,
-it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+extract hands its inputs to a ThreadPoolExecutor of min(inputs, usable
+cores) worker threads, one input each at a time, and prints each input's
+line in input order once it and every input before it are done. After
+an unexpected error no queued input starts. Unless numpy is already
+loaded, it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1, so BLAS starts no threads of its own beside the
 workers.
 """
@@ -35,7 +36,6 @@ import io
 import json
 import os
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -416,33 +416,20 @@ def cmd_extract(args) -> int:
             os.environ.setdefault(name, "1")
     importlib.import_module(".mel", __package__)  # numpy loads here, not in a worker
 
-    jobs = list(zip(args.inputs, out_paths))
-    outcomes: list = [None] * len(jobs)  # bytes written, or the exception raised
-    finished = [threading.Event() for _ in jobs]
-    pending = iter(range(len(jobs)))
-    lock = threading.Lock()
+    from concurrent.futures import ThreadPoolExecutor  # only extract loads it
 
-    def work() -> None:
-        while True:
-            with lock:
-                index = next(pending, None)
-            if index is None:
-                return
-            input_path, out_path = jobs[index]
-            try:
-                outcomes[index] = _extract_one(input_path, config, out_path, args.input_rate)
-            except BaseException as exc:  # handed to the main thread below
-                outcomes[index] = exc
-            finished[index].set()
+    def attempt(input_path, out_path):
+        try:
+            return _extract_one(input_path, config, out_path, args.input_rate)
+        except BaseException as exc:  # handed to the main thread below
+            return exc
 
-    workers = [threading.Thread(target=work) for _ in range(min(len(jobs), _usable_cores()))]
-    for worker in workers:
-        worker.start()
+    pool = ThreadPoolExecutor(min(len(out_paths), _usable_cores()))
     failures = 0
     try:
-        for index, (input_path, out_path) in enumerate(jobs):
-            finished[index].wait()
-            outcome = outcomes[index]
+        # Each input's bytes written, or the exception it raised, in input order.
+        outcomes = pool.map(attempt, args.inputs, out_paths)
+        for input_path, out_path, outcome in zip(args.inputs, out_paths, outcomes):
             if isinstance(outcome, (MelGaugeError, OSError, ValueError)):
                 failures += 1
                 print(f"error: {input_path}: {_reason(input_path, outcome)}", file=sys.stderr)
@@ -451,12 +438,8 @@ def cmd_extract(args) -> int:
             else:
                 print(f"wrote {out_path} ({outcome} bytes)")
     finally:
-        # After an exception no input starts; those already running finish.
-        with lock:
-            for _ in pending:
-                pass
-        for worker in workers:
-            worker.join()
+        # After an exception no queued input starts; those already running finish.
+        pool.shutdown(cancel_futures=True)
     return 1 if failures else 0
 
 

@@ -1,4 +1,4 @@
-"""Annotation manifests, the 16-folder split rule, and storage accounting.
+"""Annotation manifests and the 16-folder split rule.
 
 Annotation files are tab-separated with a header: clip id first, audio
 path last, one binary tag column per name in between. The folder of an
@@ -10,9 +10,6 @@ A manifest is stored as columns, not as one object per clip: tuples of
 clip ids, audio paths and folders, and one read-only uint8 matrix of
 tag flags with a row per clip and a column per tag. Per-clip records
 (ManifestItem) are built only when DatasetManifest.items is read.
-
-Storage accounting mirrors the binary feature container: payload bytes
-scale linearly in rows and columns, plus a 40-byte header per file.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .config import MelConfig, mspec_size
 from .exceptions import ManifestParseError, UnsupportedLayoutError
 
 __all__ = [
@@ -33,7 +29,6 @@ __all__ = [
     "parse_annotations",
     "canonical_split",
     "top_k_tags",
-    "storage_size",
 ]
 
 MTAT_FOLDERS = tuple("0123456789abcdef")
@@ -292,9 +287,3 @@ def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
         manifest.flags[:, ranked],
     )
 
-
-def storage_size(config: MelConfig, n_frames: int) -> int:
-    """Stored size in bytes of one feature file: float32 payload plus header."""
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    return mspec_size(config.n_mels, n_frames)

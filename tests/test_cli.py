@@ -6,6 +6,7 @@ import shutil
 import struct
 import sys
 import threading
+import time
 import wave
 from collections import Counter
 from pathlib import Path
@@ -490,8 +491,9 @@ class TestExtract:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == one_per_call
         assert len(one_per_call) == 6
 
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_unexpected_error_propagates_after_earlier_lines(self, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, error):
         from melgauge import dsp
 
         t = np.arange(6000) / 12000.0
@@ -502,14 +504,14 @@ class TestExtract:
 
         def read_or_fail(path):
             if path == sources[2]:
-                raise RuntimeError("reader bug")
+                raise error("reader bug")
             return read(path)
 
         monkeypatch.setattr(dsp, "read_wav_mono", read_or_fail)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         before = set(threading.enumerate())
         out_dir = tmp_path / "feats"
-        with pytest.raises(RuntimeError, match="reader bug"):
+        with pytest.raises(error, match="reader bug"):
             main(["extract", "--sample-rate", "12000", "--mels", "48",
                   "--out-dir", str(out_dir), *sources])
         captured = capsys.readouterr()
@@ -517,6 +519,34 @@ class TestExtract:
             str(out_dir / "clip0.mspec"), str(out_dir / "clip1.mspec")]
         assert captured.err == ""
         assert set(threading.enumerate()) == before
+
+    def test_no_queued_input_starts_after_an_unexpected_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from melgauge import dsp
+
+        t = np.arange(6000) / 12000.0
+        sources = [str(write_wav(tmp_path / f"clip{i}.wav",
+                                 0.4 * np.sin(2 * np.pi * 440.0 * (i + 1) * t), 12000))
+                   for i in range(6)]
+        read = dsp.read_wav_mono
+        opened = []
+
+        def read_slowly_or_fail(path):
+            opened.append(path)
+            if path == sources[1]:
+                raise RuntimeError("reader bug")
+            if path == sources[2]:
+                time.sleep(0.3)  # the lone worker is busy here when the error surfaces
+            return read(path)
+
+        monkeypatch.setattr(dsp, "read_wav_mono", read_slowly_or_fail)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.raises(RuntimeError, match="reader bug"):
+            main(["extract", "--sample-rate", "12000", "--mels", "48",
+                  "--out-dir", str(tmp_path / "feats"), *sources])
+        assert capsys.readouterr().out.count("\n") == 1
+        assert opened[:2] == sources[:2]
+        assert not set(opened) & set(sources[3:])
 
     def test_colliding_outputs_refused_before_any_work(self, tmp_path, capsys):
         t = np.arange(12000) / 12000.0

