@@ -155,4 +155,6 @@ MSPEC_HEADER_SIZE = _MSPEC_HEADER.size  # 40
 
 def mspec_size(n_mels: int, n_frames: int) -> int:
     """Bytes of the container for an (n_mels, n_frames) spectrogram."""
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     return n_mels * n_frames * 4 + MSPEC_HEADER_SIZE

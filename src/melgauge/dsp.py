@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -175,13 +174,8 @@ def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:
     return PowerSpectrogram(bins=power.T, sample_rate=audio.sample_rate, grid=grid)
 
 
-@lru_cache(maxsize=8)
 def _resample_kernel(p: int, in_rate: int, out_rate: int) -> np.ndarray:
-    """Kaiser-windowed sinc lowpass for a p-fold upsampled stream.
-
-    Built once per (p, in_rate, out_rate) and returned read-only, since
-    every caller at that ratio shares the one array.
-    """
+    """Kaiser-windowed sinc lowpass for a p-fold upsampled stream."""
     n_taps = RESAMPLE_TAPS_PER_PHASE * p + 1  # odd length, integer group delay
     cutoff_hz = RESAMPLE_CUTOFF * 0.5 * min(in_rate, out_rate)
     fc = cutoff_hz / (in_rate * p)  # cycles per upsampled sample, < 0.5
@@ -196,7 +190,6 @@ def _resample_kernel(p: int, in_rate: int, out_rate: int) -> np.ndarray:
     branches[:n_taps] = h
     branches = np.ascontiguousarray(branches.reshape(-1, p).T)
     h /= np.resize(branches.sum(axis=1), n_taps)
-    h.flags.writeable = False
     return h
 
 

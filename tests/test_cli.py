@@ -6,7 +6,6 @@ import shutil
 import struct
 import sys
 import threading
-import time
 import wave
 from collections import Counter
 from pathlib import Path
@@ -491,24 +490,38 @@ class TestExtract:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == one_per_call
         assert len(one_per_call) == 6
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("error, cores", [
+        (RuntimeError, 3), (KeyboardInterrupt, 3), (RuntimeError, 1),
+    ], ids=["RuntimeError", "KeyboardInterrupt", "RuntimeError-one-core"])
     def test_unexpected_error_propagates_after_earlier_lines(self, tmp_path, capsys,
-                                                             monkeypatch, error):
+                                                             monkeypatch, error, cores):
         from melgauge import dsp
 
         t = np.arange(6000) / 12000.0
         sources = [str(write_wav(tmp_path / f"clip{i}.wav",
                                  0.4 * np.sin(2 * np.pi * 440.0 * (i + 1) * t), 12000))
-                   for i in range(6)]
+                   for i in range(8)]
         read = dsp.read_wav_mono
+        join = threading.Thread.join
+        stopped = threading.Event()
+        opened = []
 
         def read_or_fail(path):
+            opened.append(path)
             if path == sources[2]:
                 raise error("reader bug")
+            if path in sources[3:]:
+                stopped.wait(10)  # a worker holds each later input until extract stops
             return read(path)
 
+        def join_once_stopped(thread, timeout=None):
+            stopped.set()  # extract joins its workers only after it stops handing out inputs
+            join(thread, timeout)
+
         monkeypatch.setattr(dsp, "read_wav_mono", read_or_fail)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(threading.Thread, "join", join_once_stopped)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
         before = set(threading.enumerate())
         out_dir = tmp_path / "feats"
         with pytest.raises(error, match="reader bug"):
@@ -519,34 +532,8 @@ class TestExtract:
             str(out_dir / "clip0.mspec"), str(out_dir / "clip1.mspec")]
         assert captured.err == ""
         assert set(threading.enumerate()) == before
-
-    def test_no_queued_input_starts_after_an_unexpected_error(self, tmp_path, capsys,
-                                                              monkeypatch):
-        from melgauge import dsp
-
-        t = np.arange(6000) / 12000.0
-        sources = [str(write_wav(tmp_path / f"clip{i}.wav",
-                                 0.4 * np.sin(2 * np.pi * 440.0 * (i + 1) * t), 12000))
-                   for i in range(6)]
-        read = dsp.read_wav_mono
-        opened = []
-
-        def read_slowly_or_fail(path):
-            opened.append(path)
-            if path == sources[1]:
-                raise RuntimeError("reader bug")
-            if path == sources[2]:
-                time.sleep(0.3)  # the lone worker is busy here when the error surfaces
-            return read(path)
-
-        monkeypatch.setattr(dsp, "read_wav_mono", read_slowly_or_fail)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        with pytest.raises(RuntimeError, match="reader bug"):
-            main(["extract", "--sample-rate", "12000", "--mels", "48",
-                  "--out-dir", str(tmp_path / "feats"), *sources])
-        assert capsys.readouterr().out.count("\n") == 1
-        assert opened[:2] == sources[:2]
-        assert not set(opened) & set(sources[3:])
+        # Each worker takes at most one input after the failing one; no queued input starts.
+        assert not set(opened) & set(sources[3 + cores:])
 
     def test_colliding_outputs_refused_before_any_work(self, tmp_path, capsys):
         t = np.arange(12000) / 12000.0

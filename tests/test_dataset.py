@@ -274,6 +274,10 @@ class TestStorageSize:
         two = mspec_size(128, 200) - 40
         assert two == 2 * one
 
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            mspec_size(96, 0)
+
 
 class TestManifestValidation:
     def test_duplicate_ids_rejected(self):
