@@ -27,7 +27,7 @@ _EXPORTS = {
             "benchmark_frames", "enumerate_grid", "frame_count", "is_grid_config", "mspec_size",
         ),
         "dsp": (
-            "AudioBuffer", "FrameGrid", "PowerSpectrogram", "hann_window",
+            "AudioBuffer", "PowerSpectrogram", "hann_window",
             "read_raw_float32", "read_wav_mono", "resample_rational", "stft_power",
         ),
         "mel": (

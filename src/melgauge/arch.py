@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import MelConfig, benchmark_frames, frame_count, mspec_size
+from .config import REFERENCE_HOP, MelConfig, benchmark_frames, frame_count, mspec_size
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
 
 __all__ = [
@@ -280,7 +280,7 @@ def musicnn_frontend_spec(
         for _ in range(MUSICNN_BACKEND_DEPTH)
     )
     segment_frames = frame_count(
-        round(MUSICNN_SEGMENT_SECONDS * sample_rate), 256 * hop_multiplier
+        round(MUSICNN_SEGMENT_SECONDS * sample_rate), REFERENCE_HOP * hop_multiplier
     )
     return ArchSpec(
         name="musicnn-frontend",

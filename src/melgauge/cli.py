@@ -9,8 +9,9 @@ Subcommands:
   report    cost table joined with the published-results reference table
 
 All report output is deterministic: rows are sorted by (sample_rate,
-n_mels descending, hop ascending, compression) and floats are formatted
-at 6 significant digits.
+n_mels descending, hop ascending, compression). Floats in cost, report,
+grid and evaluate's CSV are formatted at 6 significant digits; evaluate's
+JSON keeps every float's full repr.
 Selectors default to the benchmark grid; off-grid values are honored
 with a `warning: ...` line on stderr unless --grid-strict is given.
 

@@ -3,7 +3,7 @@
 Everything here works on plain float arrays wrapped in :class:`AudioBuffer`
 so that the sample rate travels with the samples. Spectral analysis is
 deliberately minimal: one window type (periodic Hann), one transform
-(real FFT of frame_size samples, no zero padding), power only.
+(real FFT of MelConfig.frame_size samples, no zero padding), power only.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import frame_count  # re-exported: the frame arithmetic needs no arrays
+from .config import MelConfig, frame_count  # frame_count re-exported: it needs no arrays
 from .exceptions import UnsupportedRatioError
 
 __all__ = [
     "AudioBuffer",
-    "FrameGrid",
     "PowerSpectrogram",
     "hann_window",
     "frame_count",
@@ -84,49 +83,17 @@ class AudioBuffer:
     def n_samples(self) -> int:
         return int(self.samples.shape[0])
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.n_samples / self.sample_rate
-
-
-@dataclass(frozen=True)
-class FrameGrid:
-    """Analysis framing: frame size and hop.
-
-    Frame t is centred on sample t*hop, so frame centers sit on the hop
-    grid; samples past either edge are reflected.
-    """
-
-    frame_size: int = 512
-    hop: int = 256
-
-    def __post_init__(self) -> None:
-        if self.frame_size <= 0 or self.frame_size % 2 != 0:
-            raise ValueError(f"frame_size must be positive and even, got {self.frame_size}")
-        if self.hop <= 0:
-            raise ValueError(f"hop must be positive, got {self.hop}")
-
-    @property
-    def n_bins(self) -> int:
-        """Number of non-redundant FFT bins (DC through Nyquist)."""
-        return self.frame_size // 2 + 1
-
 
 @dataclass(frozen=True)
 class PowerSpectrogram:
-    """Squared-magnitude STFT: bins is (n_bins, n_frames), non-negative.
+    """Squared-magnitude STFT: bins is (frame_size/2 + 1, n_frames), non-negative.
 
     stft_power returns read-only bins.
     """
 
     bins: np.ndarray
     sample_rate: int
-    grid: FrameGrid
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.bins.shape[0])
+    hop: int
 
     @property
     def n_frames(self) -> int:
@@ -145,33 +112,35 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
 
-def stft_power(audio: AudioBuffer, grid: FrameGrid) -> PowerSpectrogram:
-    """Short-time power spectrogram on the given frame grid.
+def stft_power(audio: AudioBuffer, hop: int) -> PowerSpectrogram:
+    """Short-time power spectrogram of frame_size-sample frames every hop samples.
 
-    Each frame is multiplied by a periodic Hann window and transformed by
-    an unnormalized real FFT of exactly frame_size points (no zero
-    padding); columns are |X|^2. Frame t covers samples t*hop -
-    frame_size/2 up to t*hop + frame_size/2, mirrored at the edges.
+    frame_size is MelConfig.frame_size (512). Each frame is multiplied by
+    a periodic Hann window and transformed by an unnormalized real FFT of
+    exactly frame_size points (no zero padding); columns are |X|^2.
+    Frame t covers samples t*hop - frame_size/2 up to t*hop +
+    frame_size/2, mirrored at the edges. A hop below 1 raises ValueError.
     """
     x = audio.samples
     if x.size == 0:
         raise ValueError("audio is empty")
-    n_frames = frame_count(x.size, grid.hop)
-    half = grid.frame_size // 2
+    n_frames = frame_count(x.size, hop)
+    frame_size = MelConfig.frame_size
+    half = frame_size // 2
     if x.size > 1:
         x = np.pad(x, (half, half), mode="reflect")
     else:
         x = np.full(2 * half + 1, x[0])
-    frames = sliding_window_view(x, grid.frame_size)[:: grid.hop][:n_frames]
-    window = hann_window(grid.frame_size)
-    power = np.empty((n_frames, grid.n_bins))
+    frames = sliding_window_view(x, frame_size)[::hop][:n_frames]
+    window = hann_window(frame_size)
+    power = np.empty((n_frames, half + 1))
     for start in range(0, n_frames, STFT_BLOCK_FRAMES):
         spectrum = np.fft.rfft(frames[start : start + STFT_BLOCK_FRAMES] * window, axis=1)
         block = power[start : start + STFT_BLOCK_FRAMES]
         np.square(spectrum.real, out=block)
         block += spectrum.imag**2
     power.flags.writeable = False
-    return PowerSpectrogram(bins=power.T, sample_rate=audio.sample_rate, grid=grid)
+    return PowerSpectrogram(bins=power.T, sample_rate=audio.sample_rate, hop=hop)
 
 
 def _resample_kernel(p: int, in_rate: int, out_rate: int) -> np.ndarray:

@@ -17,6 +17,7 @@ values. See write_mspec / read_mspec.
 from __future__ import annotations
 
 import os
+import struct
 import threading
 import warnings
 import weakref
@@ -44,7 +45,7 @@ from .config import (
     is_grid_config,
     mspec_size,
 )
-from .dsp import AudioBuffer, FrameGrid, stft_power
+from .dsp import AudioBuffer, stft_power
 from .exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 
 __all__ = [
@@ -117,10 +118,6 @@ class MelFilterbank:
 
     weights: np.ndarray
     center_freqs: np.ndarray
-
-    @property
-    def n_mels(self) -> int:
-        return int(self.weights.shape[0])
 
 
 def mel_filterbank(config: MelConfig) -> MelFilterbank:
@@ -217,23 +214,21 @@ def _drop_spectrum(ref: weakref.ref) -> None:
         _spectrum_slot = None
 
 
-def _power_bins(audio: AudioBuffer, grid: FrameGrid) -> np.ndarray:
-    """stft_power(audio, grid).bins, sliced from the held spectrum if it serves.
+def _power_bins(audio: AudioBuffer, hop: int) -> np.ndarray:
+    """stft_power(audio, hop).bins, sliced from the held spectrum if it serves.
 
-    With the same frame size, frame t at hop h*k is frame t*k at hop h,
-    so a held spectrum at hop h serves every multiple of h without a
-    transform. A miss runs stft_power at the requested hop, never a
-    finer one, and the result replaces the held spectrum.
+    Frame t at hop h*k is frame t*k at hop h, so a held spectrum at hop h
+    serves every multiple of h without a transform. A miss runs
+    stft_power at the requested hop, never a finer one, and the result
+    replaces the held spectrum.
     """
     global _spectrum_slot
     held = _spectrum_slot
-    if held is not None and held[0]() is audio:
-        held_grid = held[1].grid
-        if held_grid.frame_size == grid.frame_size and grid.hop % held_grid.hop == 0:
-            return held[1].bins[:, :: grid.hop // held_grid.hop]
+    if held is not None and held[0]() is audio and hop % held[1].hop == 0:
+        return held[1].bins[:, :: hop // held[1].hop]
     # Let the held spectrum go first, so that two are never held at once.
     held = _spectrum_slot = None
-    spectrum = stft_power(audio, grid)
+    spectrum = stft_power(audio, hop)
     _spectrum_slot = (weakref.ref(audio, _drop_spectrum), spectrum)
     return spectrum.bins
 
@@ -258,8 +253,8 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     """Compressed mel spectrogram of audio under the given config.
 
     The audio must already be at config.sample_rate; resample first if it
-    is not. Framing is center-reflect on the 256 * hop_multiplier grid,
-    so n samples give frame_count(n, hop) frames.
+    is not. Framing is center-reflect on the config.hop grid, so n
+    samples give frame_count(n, config.hop) frames.
 
     Repeated calls on one buffer share work: the spectrum of the latest
     buffer is held while that buffer lives and sliced for any hop that is
@@ -271,9 +266,8 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
             f"audio rate {audio.sample_rate} != config rate {config.sample_rate}; "
             "resample before extraction"
         )
-    grid = FrameGrid(frame_size=config.frame_size, hop=config.hop)
     fb = _cached_filterbank(config)
-    power = fb.weights @ _power_bins(audio, grid)
+    power = fb.weights @ _power_bins(audio, config.hop)
     compress = compress_db if config.compression == "dB" else compress_log
     # the product is a fresh array, so it is compressed over itself
     return MelSpectrogram(values=compress(power, out=power), config=config)
@@ -294,23 +288,30 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
     the in-memory dtype. The bytes go to a sibling temporary file that is
     then renamed onto path, so path holds either its old contents or the
     complete new file, never a partial one. A spectrogram with no frames
-    is refused: no reader could tell it from a damaged file.
+    is refused: no reader could tell it from a damaged file. So is one
+    whose rate, mel count, hop or frame count overflows its header field.
     """
     if mel.n_frames < 1:
         raise ValueError(f"{path}: cannot write a spectrogram with no frames")
-    header = _MSPEC_HEADER.pack(
-        _MSPEC_MAGIC,
-        _MSPEC_VERSION,
-        mel.config.sample_rate,
-        mel.n_mels,
-        mel.config.hop,
-        mel.config.frame_size,
-        _COMPRESSION_CODES[mel.config.compression],
-        0,
-        mel.n_frames,
-        _DTYPE_FLOAT32,
-        b"\x00" * 9,
-    )
+    try:
+        header = _MSPEC_HEADER.pack(
+            _MSPEC_MAGIC,
+            _MSPEC_VERSION,
+            mel.config.sample_rate,
+            mel.n_mels,
+            mel.config.hop,
+            mel.config.frame_size,
+            _COMPRESSION_CODES[mel.config.compression],
+            0,
+            mel.n_frames,
+            _DTYPE_FLOAT32,
+            b"\x00" * 9,
+        )
+    except struct.error as exc:
+        raise ValueError(
+            f"{path}: the header cannot hold sample rate {mel.config.sample_rate}, "
+            f"{mel.n_mels} mels, hop {mel.config.hop} and {mel.n_frames} frames: {exc}"
+        ) from None
     payload = np.ascontiguousarray(mel.values, dtype="<f4")
     path = Path(path)
     # Named per process and thread, so concurrent writers of one path

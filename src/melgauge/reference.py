@@ -21,7 +21,6 @@ from .config import MelConfig
 __all__ = [
     "SOURCE_LABEL",
     "DATASETS",
-    "MODEL_FAMILIES",
     "PublishedResult",
     "PUBLISHED_AUC",
     "published_auc",
@@ -32,7 +31,6 @@ __all__ = [
 SOURCE_LABEL = "paper-reported, not reproduced"
 
 DATASETS = ("mtat", "msd")
-MODEL_FAMILIES = ("vgg", "musicnn")
 
 # cost-model architecture name -> published model family
 _FAMILY_OF_ARCH = {
@@ -136,22 +134,6 @@ def published_for_config(config: MelConfig, arch_name: str) -> tuple[PublishedRe
     Returns at most one row per dataset, mtat first; empty when the
     configuration was never evaluated.
     """
-    family = model_family(arch_name)
-    hits = [
-        row
-        for dataset in DATASETS
-        if (
-            row := _BY_KEY.get(
-                (
-                    dataset,
-                    family,
-                    config.sample_rate,
-                    config.n_mels,
-                    config.hop_multiplier,
-                    config.compression,
-                )
-            )
-        )
-        is not None
-    ]
-    return tuple(hits)
+    key = (config.sample_rate, config.n_mels, config.hop_multiplier, config.compression)
+    rows = (published_auc(dataset, arch_name, *key) for dataset in DATASETS)
+    return tuple(row for row in rows if row is not None)

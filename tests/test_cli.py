@@ -404,6 +404,20 @@ class TestExtract:
         ]
         assert sorted(p.name for p in out_dir.iterdir()) == ["tone.mspec"]
 
+        # a hop too large for its header field fails each input in turn
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "48", "--hop-mult", "20000000",
+            "--out-dir", str(out_dir), str(tone_wav), str(tone_wav),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines()[1:] == 2 * [
+            f"error: {tone_wav}: {out_dir / 'tone.mspec'}: the header cannot hold sample "
+            "rate 12000, 48 mels, hop 5120000000 and 1 frames: "
+            "'I' format requires 0 <= number <= 4294967295",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["tone.mspec"]
+
     def test_resamples_to_analysis_rate(self, tmp_path, capsys):
         t = np.arange(16000) / 16000.0
         source = write_wav(tmp_path / "hi.wav", 0.4 * np.sin(2 * np.pi * 440.0 * t), 16000)

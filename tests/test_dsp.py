@@ -15,7 +15,6 @@ from melgauge.dsp import (
     RESAMPLE_BLOCK,
     STFT_BLOCK_FRAMES,
     AudioBuffer,
-    FrameGrid,
     _resample_kernel,
     frame_count,
     hann_window,
@@ -100,7 +99,7 @@ def _interior(n, hop, frame_size=512):
 
 def test_stft_shape_follows_frame_count(rng):
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
-    ps = stft_power(audio, FrameGrid(512, 256))
+    ps = stft_power(audio, 256)
     assert ps.bins.shape == (257, frame_count(12000, 256))
 
 
@@ -108,7 +107,7 @@ def test_stft_matches_bruteforce_dft(rng):
     # frame 1 at hop 512 is x[256:768], clear of both reflected edges;
     # checked against an O(n^2) DFT evaluated from the definition
     x = rng.standard_normal(768)
-    ps = stft_power(AudioBuffer(x, 12000), FrameGrid(512, 512))
+    ps = stft_power(AudioBuffer(x, 12000), 512)
     xw = x[256:768] * hann_window(512)
     n = np.arange(512)
     expected = np.empty(257)
@@ -122,19 +121,19 @@ def test_stft_sine_localizes_to_expected_bin():
     # 1500 Hz at 12 kHz falls exactly on bin round(1500 * 512 / 12000) = 64;
     # every frame clear of the reflected edges peaks there
     audio = AudioBuffer(sine(1500.0, 12000), 12000)
-    ps = stft_power(audio, FrameGrid(512, 256))
+    ps = stft_power(audio, 256)
     interior = ps.bins[:, _interior(audio.n_samples, 256)]
     assert interior.shape[1] == ps.n_frames - 2
     assert np.all(np.argmax(interior, axis=0) == 64)
 
 
 def test_stft_zero_audio_is_all_zero():
-    ps = stft_power(AudioBuffer(np.zeros(4096), 16000), FrameGrid())
+    ps = stft_power(AudioBuffer(np.zeros(4096), 16000), 256)
     assert np.all(ps.bins == 0.0)
 
 
 def test_stft_power_is_nonnegative(rng):
-    ps = stft_power(AudioBuffer(rng.standard_normal(8000), 16000), FrameGrid())
+    ps = stft_power(AudioBuffer(rng.standard_normal(8000), 16000), 256)
     assert np.all(ps.bins >= 0.0)
     assert np.all(np.isfinite(ps.bins))
 
@@ -144,7 +143,7 @@ def test_stft_parseval_single_frame(rng):
     # one-sided spectrum back with the Hermitian double count. Frame 1 at
     # hop 512 is x[256:768].
     x = rng.standard_normal(768)
-    ps = stft_power(AudioBuffer(x, 12000), FrameGrid(512, 512))
+    ps = stft_power(AudioBuffer(x, 12000), 512)
     col = ps.bins[:, 1]
     folded = 2.0 * col.sum() - col[0] - col[-1]
     xw = x[256:768] * hann_window(512)
@@ -155,9 +154,8 @@ def test_stft_time_shift_moves_columns(rng):
     # frame t of x[256:] reads what frame t + 1 of x reads; compared where
     # neither frame reaches a reflected edge
     x = rng.standard_normal(6000)
-    grid = FrameGrid(512, 256)
-    full = stft_power(AudioBuffer(x, 12000), grid)
-    shifted = stft_power(AudioBuffer(x[256:], 12000), grid)
+    full = stft_power(AudioBuffer(x, 12000), 256)
+    shifted = stft_power(AudioBuffer(x[256:], 12000), 256)
     cols = _interior(x.size - 256, 256)
     assert shifted.bins[:, cols] == pytest.approx(
         full.bins[:, cols.start + 1 : cols.stop + 1], rel=1e-9, abs=1e-12
@@ -171,24 +169,22 @@ def test_stft_disjoint_tones_add_in_power():
     sr = 12000
     a = sine(32 * sr / 512.0, sr, amp=0.4)
     b = sine(96 * sr / 512.0, sr, amp=0.3)
-    grid = FrameGrid(512, 256)
     cols = _interior(sr, 256)
-    pa = stft_power(AudioBuffer(a, sr), grid).bins[:, cols]
-    pb = stft_power(AudioBuffer(b, sr), grid).bins[:, cols]
-    pab = stft_power(AudioBuffer(a + b, sr), grid).bins[:, cols]
+    pa = stft_power(AudioBuffer(a, sr), 256).bins[:, cols]
+    pb = stft_power(AudioBuffer(b, sr), 256).bins[:, cols]
+    pab = stft_power(AudioBuffer(a + b, sr), 256).bins[:, cols]
     assert np.sum(pab) == pytest.approx(np.sum(pa) + np.sum(pb), rel=0.02)
     # per-bin check on the carrier bins themselves
     assert pab[32] == pytest.approx(pa[32], rel=0.02)
     assert pab[96] == pytest.approx(pb[96], rel=0.02)
 
 
-def _stft_one_shot(x, grid):
-    """Every centred frame windowed and transformed in one call, power as |X|^2."""
-    n_frames = frame_count(x.size, grid.hop)
-    half = grid.frame_size // 2
-    x = np.pad(x, half, mode="reflect") if x.size > 1 else np.full(2 * half + 1, x[0])
-    frames = sliding_window_view(x, grid.frame_size)[:: grid.hop][:n_frames]
-    spectrum = np.fft.rfft(frames * hann_window(grid.frame_size), axis=1)
+def _stft_one_shot(x, hop):
+    """Every centred 512-sample frame windowed and transformed in one call, power as |X|^2."""
+    n_frames = frame_count(x.size, hop)
+    x = np.pad(x, 256, mode="reflect") if x.size > 1 else np.full(513, x[0])
+    frames = sliding_window_view(x, 512)[::hop][:n_frames]
+    spectrum = np.fft.rfft(frames * hann_window(512), axis=1)
     return (spectrum.real**2 + spectrum.imag**2).T
 
 
@@ -202,17 +198,15 @@ def test_stft_blocks_equal_one_shot(rng, hop, n_frames):
     # longest n below both yield exactly n_frames frames
     for n in ((n_frames - 1) * hop + 1, n_frames * hop - 1):
         x = rng.standard_normal(n)
-        grid = FrameGrid(512, hop)
-        bins = stft_power(AudioBuffer(x, 16000), grid).bins
+        bins = stft_power(AudioBuffer(x, 16000), hop).bins
         assert bins.shape[1] == n_frames
-        assert np.array_equal(bins, _stft_one_shot(x, grid))
+        assert np.array_equal(bins, _stft_one_shot(x, hop))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stft_tiny_inputs_equal_one_shot(rng, n):
     x = rng.standard_normal(n)
-    grid = FrameGrid()
-    assert np.array_equal(stft_power(AudioBuffer(x, 12000), grid).bins, _stft_one_shot(x, grid))
+    assert np.array_equal(stft_power(AudioBuffer(x, 12000), 256).bins, _stft_one_shot(x, 256))
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,36 +214,34 @@ def test_stft_tiny_inputs_equal_one_shot(rng, n):
     st.integers(1, 5000),
     st.integers(1, 700),
     st.integers(1, 10),
-    st.sampled_from([16, 512]),
     st.integers(0, 2**32 - 1),
 )
-def test_stft_at_hop_multiple_is_strided_slice(n, hop, k, frame_size, seed):
+def test_stft_at_hop_multiple_is_strided_slice(n, hop, k, seed):
     # frame t at hop h*k is centred where frame t*k at hop h is, so every
     # hop multiple is the finer spectrum sliced, bit for bit
     audio = AudioBuffer(np.random.default_rng(seed).standard_normal(n), 16000)
-    fine = stft_power(audio, FrameGrid(frame_size, hop))
-    coarse = stft_power(audio, FrameGrid(frame_size, hop * k))
+    fine = stft_power(audio, hop)
+    coarse = stft_power(audio, hop * k)
     assert np.array_equal(coarse.bins, fine.bins[:, ::k])
     assert coarse.n_frames == frame_count(n, hop * k)
     assert fine.n_frames == frame_count(n, hop)
 
 
 def test_stft_bins_are_read_only(rng):
-    spectrum = stft_power(AudioBuffer(rng.standard_normal(2000), 12000), FrameGrid())
+    spectrum = stft_power(AudioBuffer(rng.standard_normal(2000), 12000), 256)
     with pytest.raises(ValueError, match="read-only"):
         spectrum.bins[0, 0] = 1.0
 
 
 def test_stft_rejects_empty_audio():
     with pytest.raises(ValueError):
-        stft_power(AudioBuffer(np.zeros(0), 12000), FrameGrid())
+        stft_power(AudioBuffer(np.zeros(0), 12000), 256)
 
 
-def test_frame_grid_validation():
-    with pytest.raises(ValueError):
-        FrameGrid(frame_size=511)
-    with pytest.raises(ValueError):
-        FrameGrid(hop=0)
+@pytest.mark.parametrize("hop", [0, -256])
+def test_stft_rejects_hop_below_one(rng, hop):
+    with pytest.raises(ValueError, match="hop must be positive"):
+        stft_power(AudioBuffer(rng.standard_normal(2000), 12000), hop)
 
 
 # ---------------------------------------------------------------- resampling

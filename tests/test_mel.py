@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melgauge import mel
-from melgauge.dsp import AudioBuffer, FrameGrid, frame_count, stft_power
+from melgauge.dsp import AudioBuffer, frame_count, stft_power
 from melgauge.exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 from melgauge.mel import (
     MSPEC_HEADER_SIZE,
@@ -213,8 +213,7 @@ def test_mel_spectrogram_tone_row(rng):
 
 def _fresh_mel(audio, config):
     """mel_spectrogram's values computed with no cache: one STFT, one filterbank."""
-    grid = FrameGrid(config.frame_size, config.hop)
-    power = mel_filterbank(config).weights @ stft_power(audio, grid).bins
+    power = mel_filterbank(config).weights @ stft_power(audio, config.hop).bins
     return compress_db(power) if config.compression == "dB" else compress_log(power)
 
 
@@ -249,9 +248,9 @@ def counted_stfts(monkeypatch):
     """Hops of the STFTs mel_spectrogram runs, with an empty spectrum slot."""
     hops = []
 
-    def counting(audio, grid):
-        hops.append(grid.hop)
-        return stft_power(audio, grid)
+    def counting(audio, hop):
+        hops.append(hop)
+        return stft_power(audio, hop)
 
     monkeypatch.setattr(mel, "stft_power", counting)
     monkeypatch.setattr(mel, "_spectrum_slot", None)
@@ -287,9 +286,9 @@ def test_other_buffer_misses_the_held_spectrum(rng, counted_stfts):
 def test_held_spectrum_is_let_go_before_a_miss_is_computed(rng, monkeypatch):
     slot_during_stft = []
 
-    def observing(audio, grid):
+    def observing(audio, hop):
         slot_during_stft.append(mel._spectrum_slot)
-        return stft_power(audio, grid)
+        return stft_power(audio, hop)
 
     monkeypatch.setattr(mel, "stft_power", observing)
     first = AudioBuffer(rng.standard_normal(12000), 12000)
@@ -632,6 +631,25 @@ def test_write_mspec_refuses_zero_frames(tmp_path):
     spec = MelSpectrogram(values=np.zeros((8, 0)), config=MelConfig(12000, 8))
     with pytest.raises(ValueError, match="no frames"):
         write_mspec(tmp_path / "empty.mspec", spec)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::melgauge.exceptions.GridWarning")
+@pytest.mark.parametrize(
+    "sample_rate, n_mels, hop_multiplier, value",
+    [
+        (12000, 96, 20_000_000, 5_120_000_000),  # hop in samples, a u32 field
+        (2**32, 8, 1, 2**32),  # sample rate, u32
+        (12000, 2**16, 1, 2**16),  # mel count, u16
+    ],
+)
+def test_write_mspec_refuses_header_overflow(tmp_path, sample_rate, n_mels, hop_multiplier, value):
+    config = MelConfig(sample_rate, n_mels, hop_multiplier)
+    spec = MelSpectrogram(values=np.zeros((n_mels, 1)), config=config)
+    path = tmp_path / "big.mspec"
+    with pytest.raises(ValueError, match="header cannot hold") as info:
+        write_mspec(path, spec)
+    assert str(path) in str(info.value) and str(value) in str(info.value)
     assert list(tmp_path.iterdir()) == []
 
 
