@@ -26,7 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import REFERENCE_HOP, MelConfig, benchmark_frames, frame_count, mspec_size
+from .config import (
+    REFERENCE_HOP, MelConfig, benchmark_frames, frame_count, mspec_size, positive_int,
+)
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
 
 __all__ = [
@@ -110,12 +112,8 @@ class ConvLayerSpec:
     padding: str = "same"
 
     def __post_init__(self) -> None:
-        if self.filter_freq < 1 or self.filter_time < 1:
-            raise ValueError(
-                f"filter dims must be >= 1, got {self.filter_freq}x{self.filter_time}"
-            )
-        if self.out_channels < 1:
-            raise ValueError(f"out_channels must be >= 1, got {self.out_channels}")
+        for name in ("filter_freq", "filter_time", "out_channels"):
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
         if self.padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
 
@@ -129,11 +127,9 @@ class PoolingPlan:
 
     def __post_init__(self) -> None:
         for name, pools in (("freq_pools", self.freq_pools), ("time_pools", self.time_pools)):
-            pools = tuple(int(p) for p in pools)
+            pools = tuple(positive_int(f"{name}[{i}]", p) for i, p in enumerate(pools))
             if len(pools) != 4:
                 raise ValueError(f"{name} must have 4 entries, got {len(pools)}")
-            if any(p < 1 for p in pools):
-                raise ValueError(f"{name} entries must be >= 1, got {pools}")
             object.__setattr__(self, name, pools)
 
 
@@ -179,8 +175,8 @@ class ArchSpec:
         else:
             if self.pooling is not None:
                 raise ValueError("musicnn-frontend has no block pooling plan")
-            if self.segment_frames is None or self.segment_frames < 1:
-                raise ValueError("musicnn-frontend requires segment_frames >= 1")
+            segment_frames = positive_int("segment_frames", self.segment_frames)
+            object.__setattr__(self, "segment_frames", segment_frames)
 
 
 @dataclass(frozen=True)
@@ -314,9 +310,9 @@ def _walk(arch: ArchSpec, input_freq: int, input_time: int):
     pools, musicnn-frontend's unpooled back-end) follows. Everything after
     the parallel front-end is an approximation.
     """
-    if input_freq < 1 or input_time < 1:
-        raise ValueError(f"input dims must be >= 1, got {input_freq}x{input_time}")
-    freq, time, channels = input_freq, input_time, 1
+    freq = positive_int("input_freq", input_freq)
+    time = positive_int("input_time", input_time)
+    channels = 1
     stages = [(freq, time, channels)]
     labels = ["input"]
     records = []
@@ -397,10 +393,8 @@ def filter_extent(filter_freq: int, filter_time: int, config: MelConfig) -> tupl
     Rows are measured on the average linear bandwidth (fmax - fmin) /
     n_mels; columns span filter_time hops.
     """
-    if filter_freq < 1 or filter_time < 1:
-        raise ValueError(f"filter dims must be >= 1, got {filter_freq}x{filter_time}")
-    hz = filter_freq * (config.fmax - config.fmin) / config.n_mels
-    seconds = filter_time * config.hop / config.sample_rate
+    hz = positive_int("filter_freq", filter_freq) * (config.fmax - config.fmin) / config.n_mels
+    seconds = positive_int("filter_time", filter_time) * config.hop / config.sample_rate
     return hz, seconds
 
 

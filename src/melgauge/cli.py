@@ -49,6 +49,7 @@ from .config import (
     benchmark_frames,
     grid_hops,
     is_grid_config,
+    positive_int,
 )
 from .exceptions import (
     EmptySummaryError,
@@ -449,12 +450,9 @@ def cmd_extract(args) -> int:
 def _positive_int(text: str) -> int:
     """argparse type for counts and rates: an integer of at least 1."""
     try:
-        value = int(text)
+        return positive_int("value", int(text))
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
 
 
 def _add_selector_flags(parser: argparse.ArgumentParser) -> None:

@@ -8,6 +8,7 @@ builds on it alone; the signal chain (dsp, mel) re-exports its names.
 
 from __future__ import annotations
 
+import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,17 @@ GRID_FULL_HOP_MELS = (128, 96, 48)  # all hop multipliers allowed
 GRID_BASE_HOP_MELS = (32, 24, 16, 8)  # base hop only
 GRID_HOP_MULTIPLIERS = (1, 2, 3, 4, 5, 10)
 GRID_MELS = GRID_FULL_HOP_MELS + GRID_BASE_HOP_MELS
+
+
+def positive_int(name: str, value) -> int:
+    """value as an int >= 1; numpy integers pass, bools and floats raise ValueError."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = 0
+    if number < 1 or isinstance(value, bool):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return number
 
 
 def grid_hops(n_mels: int) -> tuple[int, ...]:
@@ -59,12 +71,8 @@ class MelConfig:
     fmin = 0.0
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.n_mels < 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.hop_multiplier < 1:
-            raise ValueError(f"hop_multiplier must be >= 1, got {self.hop_multiplier}")
+        for name in ("sample_rate", "n_mels", "hop_multiplier"):
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
         if self.compression not in COMPRESSIONS:
             raise ValueError(
                 f"compression must be one of {COMPRESSIONS}, got {self.compression!r}"
@@ -138,11 +146,7 @@ def frame_count(n_samples: int, hop: int) -> int:
     1 + floor(n_samples / hop): one frame for every hop point, both edges
     included, whatever the frame size.
     """
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if hop <= 0:
-        raise ValueError(f"hop must be positive, got {hop}")
-    return 1 + n_samples // hop
+    return 1 + positive_int("n_samples", n_samples) // positive_int("hop", hop)
 
 
 # Binary container: 40-byte little-endian header, then row-major float32.
@@ -155,6 +159,5 @@ MSPEC_HEADER_SIZE = _MSPEC_HEADER.size  # 40
 
 def mspec_size(n_mels: int, n_frames: int) -> int:
     """Bytes of the container for an (n_mels, n_frames) spectrogram."""
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    return n_mels * n_frames * 4 + MSPEC_HEADER_SIZE
+    values = positive_int("n_mels", n_mels) * positive_int("n_frames", n_frames)
+    return values * 4 + MSPEC_HEADER_SIZE

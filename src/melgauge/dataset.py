@@ -15,10 +15,10 @@ tag flags with a row per clip and a column per tag. Per-clip records
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
+from .config import positive_int
 from .exceptions import ManifestParseError, UnsupportedLayoutError
 
 __all__ = [
@@ -35,7 +35,6 @@ MTAT_FOLDERS = tuple("0123456789abcdef")
 # Split part of each convention folder: 0 train, 1 valid, 2 test.
 _FOLDER_PART = {folder: (0 if i < 12 else 1 if i == 12 else 2)
                 for i, folder in enumerate(MTAT_FOLDERS)}
-_NO_PART = 3
 _FLAG_CELLS = frozenset({"0", "1"})
 _BLOCK_ROWS = 2048
 
@@ -249,20 +248,16 @@ def canonical_split(manifest: DatasetManifest) -> SplitAssignment:
     layout is not the expected one and raises UnsupportedLayoutError,
     naming the first such clip in manifest order.
     """
-    parts = np.fromiter(
-        map(_FOLDER_PART.get, manifest.folders, repeat(_NO_PART)),
-        dtype=np.int8,
-        count=len(manifest),
-    )
-    outside = np.flatnonzero(parts == _NO_PART)
-    if outside.size:
-        i = int(outside[0])
-        raise UnsupportedLayoutError(
-            f"folder {manifest.folders[i]!r} (clip {manifest.clip_ids[i]!r}) is not "
-            f"one of the 16 convention folders 0-9, a-f"
-        )
-    ids = np.array(manifest.clip_ids, dtype=object)
-    return SplitAssignment(*(frozenset(ids[parts == part]) for part in range(3)))
+    parts = ([], [], [])
+    for clip_id, folder in zip(manifest.clip_ids, manifest.folders):
+        part = _FOLDER_PART.get(folder)
+        if part is None:
+            raise UnsupportedLayoutError(
+                f"folder {folder!r} (clip {clip_id!r}) is not "
+                f"one of the 16 convention folders 0-9, a-f"
+            )
+        parts[part].append(clip_id)
+    return SplitAssignment(*parts)
 
 
 def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
@@ -273,8 +268,7 @@ def top_k_tags(manifest: DatasetManifest, k: int) -> DatasetManifest:
     (most frequent first), so the operation is idempotent for fixed k.
     Items stay even when all their remaining flags are zero.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = positive_int("k", k)
     if k > len(manifest.tag_names):
         raise ValueError(f"k={k} exceeds tag count {len(manifest.tag_names)}")
     counts = manifest.flags.sum(axis=0).tolist()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import MelConfig, frame_count  # frame_count re-exported: it needs no arrays
+from .config import MelConfig, frame_count, positive_int  # frame_count re-exported
 from .exceptions import UnsupportedRatioError
 
 __all__ = [
@@ -71,13 +71,12 @@ class AudioBuffer:
             raise ValueError(f"expected mono 1-D samples, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        sample_rate = positive_int("sample_rate", self.sample_rate)
         if samples.flags.writeable or not samples.flags.owndata:
             samples = samples.copy()
             samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", sample_rate)
 
     @property
     def n_samples(self) -> int:
@@ -152,13 +151,8 @@ def _resample_kernel(p: int, in_rate: int, out_rate: int) -> np.ndarray:
     h = 2.0 * fc * np.sinc(2.0 * fc * m) * np.kaiser(n_taps, RESAMPLE_KAISER_BETA)
     # Unit DC gain per output phase: branch r feeds output samples congruent
     # to r mod p, so normalizing each branch keeps constants exactly constant.
-    # Row r of branches is h[r::p], zero-filled to a common length; summing
-    # contiguous rows gives the bits of h[r::p].sum(), since the one zero
-    # added at the end of a row changes no sum.
-    branches = np.zeros((RESAMPLE_TAPS_PER_PHASE + 1) * p)
-    branches[:n_taps] = h
-    branches = np.ascontiguousarray(branches.reshape(-1, p).T)
-    h /= np.resize(branches.sum(axis=1), n_taps)
+    for r in range(p):
+        h[r::p] /= h[r::p].sum()
     return h
 
 
@@ -182,9 +176,7 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     more columns: with one, numpy sums the column pairwise. So every block
     reduces one spare column beside its outputs.
     """
-    if int(target_rate) <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
-    target_rate = int(target_rate)
+    target_rate = positive_int("target_rate", target_rate)
     g = math.gcd(audio.sample_rate, target_rate)
     p = target_rate // g
     q = audio.sample_rate // g

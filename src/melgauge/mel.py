@@ -360,6 +360,18 @@ def read_mspec(path) -> MelSpectrogram:
             )
         if n_frames == 0:
             raise MspecFormatError(f"{path}: header has no frames")
+        with warnings.catch_warnings():
+            # A stored file is data, not a user's config choice.
+            warnings.simplefilter("ignore", GridWarning)
+            try:
+                config = MelConfig(
+                    sample_rate=sample_rate,
+                    n_mels=n_mels,
+                    hop_multiplier=hop_samples // REFERENCE_HOP,
+                    compression=_COMPRESSION_NAMES[compression_code],
+                )
+            except ValueError as exc:
+                raise MspecFormatError(f"{path}: bad header: {exc}") from None
         expected = mspec_size(n_mels, n_frames)
         actual = os.fstat(fh.fileno()).st_size
         if actual < expected:
@@ -368,16 +380,4 @@ def read_mspec(path) -> MelSpectrogram:
             raise MspecFormatError(f"{path}: bytes after the payload")
         payload = fh.read(expected - MSPEC_HEADER_SIZE)
     values = np.frombuffer(payload, dtype="<f4").reshape(n_mels, n_frames)
-    with warnings.catch_warnings():
-        # A stored file is data, not a user's config choice.
-        warnings.simplefilter("ignore", GridWarning)
-        try:
-            config = MelConfig(
-                sample_rate=sample_rate,
-                n_mels=n_mels,
-                hop_multiplier=hop_samples // REFERENCE_HOP,
-                compression=_COMPRESSION_NAMES[compression_code],
-            )
-        except ValueError as exc:
-            raise MspecFormatError(f"{path}: bad header: {exc}") from None
     return MelSpectrogram(values=values, config=config)

@@ -432,6 +432,44 @@ class TestExtract:
         # one second of audio at the analysis rate
         assert mel.values.shape == (96, 1 + 12000 // 256)
 
+    @pytest.mark.parametrize("input_rate", [22050, None])
+    def test_raw_input_is_read_at_input_rate(self, input_rate, tmp_path, capsys):
+        from melgauge import dsp, mel
+
+        raw = tmp_path / "clip.f32"
+        samples = 0.3 * np.random.default_rng(11).standard_normal(22050)
+        raw.write_bytes(samples.astype("<f4").tobytes())
+        out_dir = tmp_path / "feats"
+        rate_flag = [] if input_rate is None else ["--input-rate", str(input_rate)]
+        code = main([
+            "extract", *rate_flag, "--sample-rate", "12000", "--mels", "96",
+            "--out-dir", str(out_dir), str(raw),
+        ])
+        assert code == 0
+        # Without the flag the stream is taken to be at the analysis rate.
+        audio = dsp.read_raw_float32(raw, input_rate or 12000)
+        if input_rate is not None:
+            audio = dsp.resample_rational(audio, 12000)
+        expected = tmp_path / "expected.mspec"
+        mel.write_mspec(expected, mel.mel_spectrogram(audio, mel.MelConfig(12000, 96)))
+        assert (out_dir / "clip.mspec").read_bytes() == expected.read_bytes()
+        frames = 1 + (12000 if input_rate else 22050) // 256
+        assert read_mspec(out_dir / "clip.mspec").values.shape == (96, frames)
+
+    def test_wav_input_ignores_input_rate(self, tmp_path, capsys):
+        t = np.arange(16000) / 16000.0
+        source = write_wav(tmp_path / "hi.wav", 0.4 * np.sin(2 * np.pi * 440.0 * t), 16000)
+        outputs = []
+        for rate_flag in ([], ["--input-rate", "44100"]):
+            out_dir = tmp_path / f"feats{len(outputs)}"
+            code = main([
+                "extract", *rate_flag, "--sample-rate", "12000", "--mels", "96",
+                "--out-dir", str(out_dir), str(source),
+            ])
+            assert code == 0
+            outputs.append((out_dir / "hi.mspec").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_mixed_batch_reports_in_input_order(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         sources = []
@@ -592,7 +630,9 @@ class TestExtract:
         ("extract", "--hop-mult", "0"),
         ("extract", "--sample-rate", "twelve"),
         ("extract", "--input-rate", "0"),
+        ("extract", "--mels", "True"),
         ("adapt", "--hop-mult", "-1"),
+        ("cost", "--sample-rate", "16000.0"),
     ],
 )
 def test_non_positive_selector_is_a_usage_error(command, flag, value, tmp_path, capsys, tone_wav):

@@ -240,7 +240,7 @@ def test_stft_rejects_empty_audio():
 
 @pytest.mark.parametrize("hop", [0, -256])
 def test_stft_rejects_hop_below_one(rng, hop):
-    with pytest.raises(ValueError, match="hop must be positive"):
+    with pytest.raises(ValueError, match="hop must be a positive integer"):
         stft_power(AudioBuffer(rng.standard_normal(2000), 12000), hop)
 
 
