@@ -57,7 +57,6 @@ __all__ = [
 ARCH_NAMES = ("vgg-cnn", "musicnn-frontend")
 
 VGG_CHANNELS = (128, 384, 768, 2048)
-VGG_FILTER = 3  # 3x3 everywhere
 
 # Per-block time pools for each (sample rate, hop multiplier); the last
 # block absorbs most of the hop-induced width change.
@@ -118,6 +117,15 @@ class ConvLayerSpec:
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
 
 
+# The layers no configuration changes, built once: the whole vgg-cnn
+# stack (3x3, "same" padding) and MUSICNN's temporal and back-end layers.
+_VGG_LAYERS = tuple(ConvLayerSpec(3, 3, channels) for channels in VGG_CHANNELS)
+_MUSICNN_TEMPORAL_LAYERS = tuple(
+    ConvLayerSpec(1, width, MUSICNN_FILTERS_PER_SHAPE) for width in MUSICNN_TEMPORAL_WIDTHS
+)
+_MUSICNN_BACKEND_LAYERS = (ConvLayerSpec(1, 7, MUSICNN_BACKEND_CHANNELS),) * MUSICNN_BACKEND_DEPTH
+
+
 @dataclass(frozen=True)
 class PoolingPlan:
     """Per-block (freq, time) max-pool factors for the four VGG blocks."""
@@ -162,15 +170,10 @@ class ArchSpec:
                 raise ValueError("vgg-cnn requires a pooling plan")
             if self.backend_layers:
                 raise ValueError("vgg-cnn takes no backend_layers")
-            channels = tuple(layer.out_channels for layer in self.layers)
-            filters_ok = all(
-                layer.filter_freq == VGG_FILTER and layer.filter_time == VGG_FILTER
-                for layer in self.layers
-            )
-            if len(self.layers) != 4 or channels != VGG_CHANNELS or not filters_ok:
+            if self.layers != _VGG_LAYERS:
                 raise ValueError(
-                    "vgg-cnn is fixed to four 3x3 conv layers with channels "
-                    f"{VGG_CHANNELS}"
+                    'vgg-cnn is fixed to four 3x3 "same"-padded conv layers with '
+                    f"channels {VGG_CHANNELS}"
                 )
         else:
             if self.pooling is not None:
@@ -237,14 +240,12 @@ def vgg_pooling_plan(n_mels: int, hop_multiplier: int, sample_rate: int) -> Pool
 
 def vgg_arch(pooling: PoolingPlan) -> ArchSpec:
     """The fixed four-block 3x3 stack with the given pooling plan."""
-    layers = tuple(
-        ConvLayerSpec(VGG_FILTER, VGG_FILTER, channels) for channels in VGG_CHANNELS
-    )
-    return ArchSpec(name="vgg-cnn", layers=layers, pooling=pooling)
+    return ArchSpec(name="vgg-cnn", layers=_VGG_LAYERS, pooling=pooling)
 
 
 def musicnn_filter_heights(n_mels: int) -> tuple[int, int]:
     """(90%, 40%) timbre filter heights: floor(0.9 n), floor(0.4 n)."""
+    n_mels = positive_int("n_mels", n_mels)
     if n_mels < 8:
         raise ValueError(f"n_mels must be >= 8, got {n_mels}")
     return int(0.9 * n_mels), int(0.4 * n_mels)
@@ -262,26 +263,18 @@ def musicnn_frontend_spec(
     model consumes 3-second segments, so segment_frames follows the hop.
     """
     h90, h40 = musicnn_filter_heights(n_mels)
-    layers = [
+    timbre_layers = tuple(
         ConvLayerSpec(height, width, MUSICNN_FILTERS_PER_SHAPE, padding="valid")
         for height in (h40, h90)
         for width in MUSICNN_TIMBRE_WIDTHS
-    ]
-    layers += [
-        ConvLayerSpec(1, width, MUSICNN_FILTERS_PER_SHAPE, padding="same")
-        for width in MUSICNN_TEMPORAL_WIDTHS
-    ]
-    backend_layers = tuple(
-        ConvLayerSpec(1, 7, MUSICNN_BACKEND_CHANNELS, padding="same")
-        for _ in range(MUSICNN_BACKEND_DEPTH)
     )
     segment_frames = frame_count(
         round(MUSICNN_SEGMENT_SECONDS * sample_rate), REFERENCE_HOP * hop_multiplier
     )
     return ArchSpec(
         name="musicnn-frontend",
-        layers=tuple(layers),
-        backend_layers=backend_layers,
+        layers=timbre_layers + _MUSICNN_TEMPORAL_LAYERS,
+        backend_layers=_MUSICNN_BACKEND_LAYERS,
         segment_frames=segment_frames,
     )
 

@@ -105,6 +105,7 @@ def hann_window(n: int) -> np.ndarray:
     w[k] = 0.5 * (1 - cos(2*pi*k / n)), so w[0] = 0 and the window is the
     first n samples of an (n+1)-point symmetric Hann. n must be >= 2.
     """
+    n = positive_int("n", n)
     if n < 2:
         raise ValueError(f"window length must be >= 2, got {n}")
     k = np.arange(n)

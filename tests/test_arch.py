@@ -1,7 +1,9 @@
 """Architecture shape propagation, MAC counting, and sweeps."""
 
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 from melgauge import GridWarning
@@ -81,10 +83,25 @@ class TestLayerAndPlanValidation:
         with pytest.raises(ValueError):
             ArchSpec(name="vgg-cnn", layers=layers, pooling=None)
 
-    def test_vgg_rejects_wrong_channels(self):
-        layers = tuple(ConvLayerSpec(3, 3, c) for c in (64, 384, 768, 2048))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            tuple(ConvLayerSpec(3, 3, c) for c in (64, 384, 768, 2048)),
+            tuple(ConvLayerSpec(3, 3, c) for c in (128, 384, 768)),
+            tuple(ConvLayerSpec(5, 5, c) for c in (128, 384, 768, 2048)),
+            # a "valid" stack underflows in count_macs: block 4 pools 1x6 by (4, 8)
+            tuple(ConvLayerSpec(3, 3, c, padding="valid") for c in (128, 384, 768, 2048)),
+        ],
+        ids=["channels", "depth", "filter", "padding"],
+    )
+    def test_vgg_rejects_other_stacks(self, layers):
+        with pytest.raises(ValueError, match='^vgg-cnn is fixed to four 3x3 "same"-padded'):
             ArchSpec(name="vgg-cnn", layers=layers, pooling=vgg_pooling_plan(96, 1, 12000))
+
+    def test_vgg_takes_a_list_of_the_fixed_layers(self):
+        plan = vgg_pooling_plan(96, 1, 12000)
+        arch = ArchSpec(name="vgg-cnn", layers=list(vgg_arch(plan).layers), pooling=plan)
+        assert arch == vgg_arch(plan) and isinstance(arch.layers, tuple)
 
     def test_unknown_arch_name(self):
         with pytest.raises(ValueError):
@@ -276,30 +293,45 @@ class TestMusicnnSpec:
         with pytest.raises(ValueError):
             musicnn_filter_heights(7)
 
+    @pytest.mark.parametrize("value", [0, -1, True, 8.5, 96.0, "96"], ids=repr)
+    def test_heights_refuse_what_is_not_a_positive_integer(self, value):
+        message = f"n_mels must be a positive integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            musicnn_filter_heights(value)
+
+    def test_heights_accept_numpy_integers(self):
+        heights = musicnn_filter_heights(np.int64(96))
+        assert heights == (86, 38)
+        assert {type(h) for h in heights} == {int}
+
     def test_layer_ordering_and_padding(self):
         spec = musicnn_frontend_spec(96)
-        shapes = [(l.filter_freq, l.filter_time) for l in spec.layers]
-        assert shapes == [
-            (38, 1), (38, 3), (38, 7),
-            (86, 1), (86, 3), (86, 7),
-            (1, 32), (1, 64), (1, 128), (1, 165),
-        ]
+        shapes = [(l.filter_freq, l.filter_time) for l in spec.layers[:6]]
+        assert shapes == [(38, 1), (38, 3), (38, 7), (86, 1), (86, 3), (86, 7)]
         assert all(l.padding == "valid" for l in spec.layers[:6])
-        assert all(l.padding == "same" for l in spec.layers[6:])
         assert all(l.out_channels == 51 for l in spec.layers)
+
+    @pytest.mark.parametrize("rate", GRID_RATES)
+    @pytest.mark.parametrize("n_mels", GRID_MELS)
+    def test_temporal_layers_do_not_depend_on_config(self, n_mels, rate):
+        spec = musicnn_frontend_spec(n_mels, rate)
+        assert spec.layers[6:] == (
+            ConvLayerSpec(1, 32, 51, "same"),
+            ConvLayerSpec(1, 64, 51, "same"),
+            ConvLayerSpec(1, 128, 51, "same"),
+            ConvLayerSpec(1, 165, 51, "same"),
+        )
 
     def test_segment_frames_follow_rate_and_hop(self):
         assert musicnn_frontend_spec(96, 16000).segment_frames == 188
         assert musicnn_frontend_spec(96, 12000).segment_frames == 141
         assert musicnn_frontend_spec(96, 16000, hop_multiplier=2).segment_frames == 94
 
-    def test_default_backend(self):
-        spec = musicnn_frontend_spec(96)
-        assert len(spec.backend_layers) == 3
-        assert all(
-            (l.filter_freq, l.filter_time, l.out_channels, l.padding) == (1, 7, 512, "same")
-            for l in spec.backend_layers
-        )
+    @pytest.mark.parametrize("rate", GRID_RATES)
+    @pytest.mark.parametrize("n_mels", GRID_MELS)
+    def test_default_backend(self, n_mels, rate):
+        spec = musicnn_frontend_spec(n_mels, rate)
+        assert spec.backend_layers == (ConvLayerSpec(1, 7, 512, "same"),) * 3
 
     def test_frontend_only(self):
         spec = musicnn_frontend_spec(96)

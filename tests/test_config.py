@@ -20,7 +20,7 @@ from melgauge.arch import (
 )
 from melgauge.config import MelConfig, frame_count, mspec_size
 from melgauge.dataset import DatasetManifest, top_k_tags
-from melgauge.dsp import AudioBuffer, resample_rational
+from melgauge.dsp import AudioBuffer, hann_window, resample_rational
 
 MANIFEST = DatasetManifest(("a", "b"), ("0/a.mp3", "c/b.mp3"), ("rock", "pop"), [[1, 0], [1, 1]])
 ONE_LAYER = (ConvLayerSpec(1, 1, 4),)
@@ -37,6 +37,7 @@ ENTRY_POINTS = {
     "mspec_size.n_mels": lambda v: mspec_size(v, 5),
     "mspec_size.n_frames": lambda v: mspec_size(96, v),
     "AudioBuffer.sample_rate": lambda v: AudioBuffer(QUIET, v),
+    "hann_window.n": hann_window,
     "resample_rational.target_rate": lambda v: resample_rational(AudioBuffer(QUIET, 1), v),
     "top_k_tags.k": lambda v: top_k_tags(MANIFEST, v),
     "ConvLayerSpec.filter_freq": lambda v: ConvLayerSpec(v, 3, 8),
