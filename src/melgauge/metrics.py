@@ -5,9 +5,9 @@ credited), which coincides with the trapezoidal curve area but makes tie
 handling exact. PR AUC is average precision: the mean of precision taken
 at the rank of each positive, with ties broken by stable input order.
 Macro summaries skip tags that lack both classes rather than scoring
-them 0.5, and report which tags were skipped; one sort ranks all tags,
-giving exactly the per-tag functions' floats. Tag CSV bodies are parsed
-in one pass, and walked line by line only to name a file's first bad line.
+them 0.5, and report which tags were skipped; roc_auc, pr_auc and the
+macro summary share one ranking. Tag CSV bodies are parsed in one pass,
+and walked line by line only to name a file's first bad line.
 
 The significance test is Welch's (unequal-variance) two-sided t-test
 with Welch-Satterthwaite degrees of freedom. Two degenerate-variance
@@ -84,14 +84,6 @@ class TagTable:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tag_names", names)
 
-    @property
-    def n_items(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_tags(self) -> int:
-        return self.scores.shape[1]
-
 
 @dataclass(frozen=True)
 class MetricSummary:
@@ -122,17 +114,28 @@ def _tie_bounds(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of values, each tie group given the mean of its ranks.
+def _ranked_rows(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Each row's Mann-Whitney U and average precision, from one stable sort.
 
-    A group covering sorted positions start..end-1 holds ranks start+1..end,
-    whose mean is (start + end + 1) / 2. Values must be finite.
+    scores and 0/1 labels are (rows x items), and every row holds at least
+    one positive. U is the positives' average-rank sum minus its minimum;
+    rank sums add half-integers, exact in any order. Each AP is the mean of
+    the precisions at one row's positives in stable descending-score order.
     """
-    order = np.argsort(values, kind="stable")
-    starts, ends = _tie_bounds(values[order])
-    ranks = np.empty(values.size)
-    ranks[order] = (starts + ends + 1) / 2.0
-    return ranks
+    n_pos = labels.sum(axis=1)
+    n_items = scores.shape[1]
+    order = np.argsort(scores, axis=1, kind="stable")
+    starts, ends = _tie_bounds(np.take_along_axis(scores, order, axis=1))
+    hits = np.take_along_axis(labels, order, axis=1) == 1
+    rank_sums = np.where(hits, (starts + ends + 1) / 2.0, 0.0).sum(axis=1)
+    # Descending order with ties in input order: reverse the tie groups of
+    # the ascending sort but not the items inside each.
+    ranked = np.empty_like(hits)
+    np.put_along_axis(ranked, n_items - ends + np.arange(n_items) - starts, hits, axis=1)
+    at_hits = (np.cumsum(ranked, axis=1) / np.arange(1, n_items + 1))[ranked]
+    run_ends = np.cumsum(n_pos)
+    aps = [float(at_hits[end - count : end].mean()) for end, count in zip(run_ends, n_pos)]
+    return rank_sums - n_pos * (n_pos + 1) / 2.0, aps
 
 
 def _ranking_inputs(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +164,8 @@ def roc_auc(scores, labels) -> float:
         raise UndefinedMetricError(
             f"ROC AUC needs both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    ranks = _average_ranks(scores)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    u, _ = _ranked_rows(scores[np.newaxis], labels[np.newaxis])
+    return float(u[0] / (n_pos * n_neg))
 
 
 def pr_auc(scores, labels) -> float:
@@ -178,10 +180,8 @@ def pr_auc(scores, labels) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("PR AUC needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order]
-    precision = np.cumsum(ranked) / np.arange(1, ranked.size + 1)
-    return float(precision[ranked == 1].mean())
+    _, (ap,) = _ranked_rows(scores[np.newaxis], labels[np.newaxis])
+    return ap
 
 
 def macro_summary(table: TagTable) -> MetricSummary:
@@ -189,30 +189,18 @@ def macro_summary(table: TagTable) -> MetricSummary:
 
     A tag is evaluable when both classes appear in its labels; the rest
     are skipped and listed. Raises EmptySummaryError when nothing is
-    evaluable. One stable sort of the (tags x items) table gives exactly
-    roc_auc's and pr_auc's floats: rank sums add half-integers, exact in any
-    order, and each AP is the mean of one contiguous run in pr_auc's order.
+    evaluable. roc_auc, pr_auc and this function share one ranking, so a
+    tag's floats here are exactly theirs. One stable sort ranks all tags.
     """
     labels = table.labels.T
     positives = labels.sum(axis=1)
-    kept = (positives > 0) & (positives < labels.shape[1])
+    n_items = labels.shape[1]
+    kept = (positives > 0) & (positives < n_items)
     if not kept.any():
         raise EmptySummaryError("no tag has both classes present")
-    scores = table.scores.T[kept]
+    u, per_pr = _ranked_rows(table.scores.T[kept], labels[kept])
     n_pos = positives[kept]
-    n_items = scores.shape[1]
-    order = np.argsort(scores, axis=1, kind="stable")
-    starts, ends = _tie_bounds(np.take_along_axis(scores, order, axis=1))
-    hits = np.take_along_axis(labels[kept], order, axis=1)
-    rank_sums = np.where(hits == 1, (starts + ends + 1) / 2.0, 0.0).sum(axis=1)
-    per_roc = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n_items - n_pos))
-    # pr_auc ranks by descending score with ties in input order: reverse
-    # the tie groups of the ascending sort but not the items inside each.
-    ranked = np.empty_like(hits)
-    np.put_along_axis(ranked, n_items - ends + np.arange(n_items) - starts, hits, axis=1)
-    at_hits = (np.cumsum(ranked, axis=1) / np.arange(1, n_items + 1))[ranked == 1]
-    run_ends = np.cumsum(n_pos)
-    per_pr = [float(at_hits[end - count : end].mean()) for end, count in zip(run_ends, n_pos)]
+    per_roc = u / (n_pos * (n_items - n_pos))
     return MetricSummary(
         tag_names=tuple(compress(table.tag_names, kept)),
         per_tag_roc=tuple(per_roc.tolist()),

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from melgauge.exceptions import (
 )
 from melgauge.metrics import (
     TagTable,
-    _average_ranks,
     load_tag_table,
     macro_summary,
     pr_auc,
@@ -122,16 +122,14 @@ class TestRocAuc:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=80), st.sampled_from([1.0, 0.1, -0.25]))
-    def test_ranks_equal_scipy_rankdata(self, values, scale):
-        # few distinct values, so most draws hold tie groups of several sizes
-        x = np.asarray(values, dtype=np.float64) * scale
-        assert np.array_equal(_average_ranks(x), stats.rankdata(x))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=60))
-    def test_equals_scipy_rank_statistic(self, pairs):
-        scores = np.array([s / 4.0 for s, _ in pairs])
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=2, max_size=80),
+        st.sampled_from([0.25, 1.0, 0.1, -0.25]),
+    )
+    def test_equals_scipy_rank_statistic(self, pairs, scale):
+        # few distinct levels, so most draws hold tie groups of several
+        # sizes; a negative scale ranks the same ties in reverse
+        scores = np.array([s for s, _ in pairs], dtype=np.float64) * scale
         labels = np.array([label for _, label in pairs])
         n_pos = int(labels.sum())
         n_neg = labels.size - n_pos
@@ -227,6 +225,12 @@ class TestPrAuc:
         with pytest.raises(UndefinedMetricError):
             pr_auc([0.5, 0.6], [0, 0])
 
+    def test_all_positives_is_one_without_warning(self):
+        # a ranking with no negatives is defined for PR AUC, unlike ROC AUC
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pr_auc([0.3, 0.9, 0.3, 0.1], [1, 1, 1, 1]) == 1.0
+
 
 def test_non_finite_scores_raise():
     # a NaN would otherwise sort last and score as the lowest rank
@@ -320,6 +324,15 @@ def test_macro_summary_equals_per_tag_metrics_exactly(rng, n_items, n_tags, leve
         summary = macro_summary(TagTable(scores, labels, names))
         per_roc = [roc_auc(scores[:, j], labels[:, j]) for j in evaluable]
         per_pr = [pr_auc(scores[:, j], labels[:, j]) for j in evaluable]
+        # all three share one ranking, so also check each tag against
+        # oracles that share none of its code
+        for j, roc, pr in zip(evaluable, per_roc, per_pr):
+            hits = labels[:, j] == 1
+            n_pos = int(hits.sum())
+            u = stats.rankdata(scores[:, j])[hits].sum() - n_pos * (n_pos + 1) / 2.0
+            assert roc == float(u / (n_pos * (n_items - n_pos)))
+            want = oracle_average_precision(list(scores[:, j]), list(labels[:, j]))
+            assert pr == pytest.approx(want, abs=1e-12)
         assert summary.tag_names == tuple(names[j] for j in evaluable)
         assert summary.skipped_tags == tuple(n for j, n in enumerate(names) if j not in evaluable)
         assert summary.per_tag_roc == tuple(per_roc)
