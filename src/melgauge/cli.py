@@ -52,11 +52,9 @@ from .config import (
     positive_int,
 )
 from .exceptions import (
-    EmptySummaryError,
     GridWarning,
     MelGaugeError,
     OutputPathError,
-    SchemaError,
     UnsupportedConfigError,
 )
 from .reference import SOURCE_LABEL, published_for_config
@@ -169,13 +167,7 @@ _CONFIG_COLUMNS = (
 
 
 def _config_row(config: MelConfig) -> dict:
-    return {
-        "config_id": config.config_id,
-        "sample_rate": config.sample_rate,
-        "n_mels": config.n_mels,
-        "hop_multiplier": config.hop_multiplier,
-        "compression": config.compression,
-    }
+    return {column: getattr(config, column) for column in _CONFIG_COLUMNS}
 
 
 # ------------------------------------------------------------------ cost
@@ -313,7 +305,7 @@ def cmd_evaluate(args) -> int:
     try:
         table = cli.load_tag_table(args.predictions, args.labels)
         summary = cli.macro_summary(table)
-    except (SchemaError, EmptySummaryError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -423,20 +415,18 @@ def cmd_extract(args) -> int:
     def attempt(input_path, out_path):
         try:
             return _extract_one(input_path, config, out_path, args.input_rate)
-        except BaseException as exc:  # handed to the main thread below
+        except (MelGaugeError, OSError, ValueError) as exc:  # reported below
             return exc
 
     pool = ThreadPoolExecutor(min(len(out_paths), _usable_cores()))
     failures = 0
     try:
-        # Each input's bytes written, or the exception it raised, in input order.
+        # Each input's bytes written or reported error, in input order; others raise here.
         outcomes = pool.map(attempt, args.inputs, out_paths)
         for input_path, out_path, outcome in zip(args.inputs, out_paths, outcomes):
-            if isinstance(outcome, (MelGaugeError, OSError, ValueError)):
+            if isinstance(outcome, Exception):
                 failures += 1
                 print(f"error: {input_path}: {_reason(input_path, outcome)}", file=sys.stderr)
-            elif isinstance(outcome, BaseException):
-                raise outcome
             else:
                 print(f"wrote {out_path} ({outcome} bytes)")
     finally:
@@ -562,9 +552,6 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
-        except UnsupportedConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except MelGaugeError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return 2 if isinstance(exc, UnsupportedConfigError) else 1

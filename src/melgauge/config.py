@@ -38,6 +38,16 @@ def positive_int(name: str, value) -> int:
     return number
 
 
+def first_repeat(names) -> str | None:
+    """The first name that already occurred earlier in names, if any."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def grid_hops(n_mels: int) -> tuple[int, ...]:
     """Hop multipliers the grid pairs with a mel count: all from 48 mels up, else x1."""
     return GRID_HOP_MULTIPLIERS if n_mels in GRID_FULL_HOP_MELS else (1,)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import positive_int
+from .config import first_repeat, positive_int
 from .exceptions import ManifestParseError, UnsupportedLayoutError
 
 __all__ = [
@@ -37,16 +37,6 @@ _FOLDER_PART = {folder: (0 if i < 12 else 1 if i == 12 else 2)
                 for i, folder in enumerate(MTAT_FOLDERS)}
 _FLAG_CELLS = frozenset({"0", "1"})
 _BLOCK_ROWS = 2048
-
-
-def _repeated(names: tuple[str, ...]) -> str | None:
-    """The first name that already occurred earlier in names, if any."""
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            return name
-        seen.add(name)
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,11 +70,11 @@ class DatasetManifest:
         clip_ids = tuple(self.clip_ids)
         audio_paths = tuple(self.audio_paths)
         tag_names = tuple(str(n) for n in self.tag_names)
-        repeated = _repeated(tag_names)
+        repeated = first_repeat(tag_names)
         if repeated is not None:
             raise ValueError(f"duplicate tag name {repeated!r}")
         if len(set(clip_ids)) != len(clip_ids):
-            raise ValueError(f"duplicate clip_id {_repeated(clip_ids)!r}")
+            raise ValueError(f"duplicate clip_id {first_repeat(clip_ids)!r}")
         if len(audio_paths) != len(clip_ids):
             raise ValueError(f"{len(audio_paths)} audio paths for {len(clip_ids)} clips")
         flags = np.asarray(self.flags)
@@ -195,12 +185,16 @@ def parse_annotations(path) -> DatasetManifest:
     Header: clip id column first, audio path column last, distinct tag
     names in between. Tag cells must be "0" or "1"; errors carry the 1-based line
     number, and blank or whitespace-only lines are skipped but counted.
-    The file is read once, whole. The flag cells are checked and converted
+    The file is read once, whole; bytes that are not UTF-8 raise
+    ManifestParseError. The flag cells are checked and converted
     as byte matrices of up to 2048 rows, not cell by cell; only a file that
     fails that check is walked line by line, to name its first error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ManifestParseError(f"{path}: {exc}") from exc
     rows = [i for i, line in enumerate(lines) if line and not line.isspace()]
     if not rows:
         raise ManifestParseError(f"{path}: empty annotation file")
@@ -211,7 +205,7 @@ def parse_annotations(path) -> DatasetManifest:
             f"got {len(header)} columns"
         )
     tag_names = tuple(header[1:-1])
-    repeated = _repeated(tag_names)
+    repeated = first_repeat(tag_names)
     if repeated is not None:
         raise ManifestParseError(f"{path}: line {rows[0] + 1}: duplicate tag {repeated!r}")
     del rows[0]

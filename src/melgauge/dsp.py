@@ -51,7 +51,7 @@ RESAMPLE_BLOCK = 4096
 STFT_BLOCK_FRAMES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioBuffer:
     """Mono waveform with its sample rate.
 
@@ -83,7 +83,7 @@ class AudioBuffer:
         return int(self.samples.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSpectrogram:
     """Squared-magnitude STFT: bins is (frame_size/2 + 1, n_frames), non-negative.
 

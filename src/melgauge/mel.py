@@ -112,7 +112,7 @@ def mel_to_hz_slaney(mel):
     return float(f) if np.isscalar(mel) else f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MelFilterbank:
     """Triangular mel filters: weights is (n_mels, frame_size/2 + 1)."""
 
@@ -233,7 +233,7 @@ def _power_bins(audio: AudioBuffer, hop: int) -> np.ndarray:
     return spectrum.bins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MelSpectrogram:
     """Compressed mel spectrogram: values is (n_mels, n_frames)."""
 

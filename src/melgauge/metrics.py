@@ -24,6 +24,7 @@ from itertools import compress
 
 import numpy as np
 
+from .config import first_repeat
 from .exceptions import (
     DegenerateVarianceError,
     EmptySummaryError,
@@ -50,7 +51,7 @@ def _as_binary(labels) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TagTable:
     """Aligned per-item tag activations and binary ground-truth labels."""
 
@@ -76,8 +77,7 @@ class TagTable:
             raise ValueError("scores must be finite")
         if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
             raise ValueError("scores must lie in [0, 1]")
-        scores = scores.copy()
-        labels = labels.copy()
+        scores = scores.copy()  # _as_binary already copied the labels
         scores.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "scores", scores)
@@ -257,19 +257,24 @@ def read_tag_csv(path, labels: bool = False) -> tuple[tuple[str, ...], np.ndarra
     Lines end at \\r\\n, \\n or \\r; all-blank lines are skipped. Cells are
     parsed as float() parses them (spaces and digit underscores pass) and
     must be scores in [0, 1], or with labels=True exactly 0 or 1; the first
-    that is not, or a quoted cell, raises SchemaError naming its line.
+    that is not, or a quoted cell, raises SchemaError naming its line. Bytes
+    that are not UTF-8, or a header the csv module refuses, raise
+    SchemaError naming the file.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for number, cells in enumerate(csv.reader(fh), start=1):
-            if any(cell.strip() for cell in cells):
-                break
-        else:
-            raise SchemaError(f"{path}: empty file")
-        body = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            for number, cells in enumerate(csv.reader(fh), start=1):
+                if any(cell.strip() for cell in cells):
+                    break
+            else:
+                raise SchemaError(f"{path}: empty file")
+            body = fh.read()
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     names = tuple(cell.strip() for cell in cells)
     if "" in names:
         raise SchemaError(f"{path}: header column {names.index('') + 1} is empty")
-    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    repeated = first_repeat(names)
     if repeated is not None:
         raise SchemaError(f"{path}: header repeats tag {repeated!r}")
     lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import struct
 import sys
@@ -287,6 +288,29 @@ class TestEvaluate:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {paths[which]}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"a" * 131073 + b",b\n0.9,0.1\n", r"field larger than field limit \(131072\)"),
+            (b"a,\xffb\n0.9,0.1\n",
+             "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+            (b"a,b\n" + b"0.9,0.1\n" * 3000 + b"0.9,\xff\n",
+             r"'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte"),
+        ],
+        ids=["header-field-over-csv-limit", "not-utf8-in-header", "not-utf8-past-first-read"],
+    )
+    def test_unreadable_csv_is_an_error_line_naming_the_file(self, tmp_path, capsys,
+                                                             text, message):
+        pred = tmp_path / "pred.csv"
+        labels = tmp_path / "labels.csv"
+        pred.write_bytes(text)
+        labels.write_text("a,b\n1,0\n")
+        code = main(["evaluate", str(pred), str(labels)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {re.escape(str(pred))}: {message}\n", captured.err)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["evaluate", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])

@@ -123,6 +123,15 @@ class TestParseAnnotations:
             parse_annotations(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "annot.tsv"
+        path.write_bytes(b"id\ta\tpath\n1\t0\t0/\xffx\n")
+        with pytest.raises(ManifestParseError) as info:
+            parse_annotations(path)
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+        )
+
     def test_row_without_tabs(self, tmp_path):
         # with one tag, "0x" is as long as a good row's flag cells
         path = tmp_path / "annot.tsv"

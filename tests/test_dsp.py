@@ -297,6 +297,11 @@ def test_resample_rejects_bad_target():
         resample_rational(audio, 0)
 
 
+def test_resample_rejects_empty_audio():
+    with pytest.raises(ValueError, match="^audio is empty$"):
+        resample_rational(AudioBuffer(np.zeros(0), 16000), 12000)
+
+
 # The seven rate changes the resampler is pinned on, as (in, out) rates:
 # 80/147, 160/441, 3/4, 4/3, 2/3, 1/6 and 6/1.
 PINNED_RATIOS = [

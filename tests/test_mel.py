@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melgauge import mel
-from melgauge.dsp import AudioBuffer, frame_count, stft_power
+from melgauge.dsp import AudioBuffer, PowerSpectrogram, frame_count, stft_power
 from melgauge.exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 from melgauge.mel import (
     MSPEC_HEADER_SIZE,
     MelConfig,
+    MelFilterbank,
     MelSpectrogram,
     benchmark_frames,
     compress_db,
@@ -31,6 +32,7 @@ from melgauge.mel import (
     read_mspec,
     write_mspec,
 )
+from melgauge.metrics import TagTable
 
 from conftest import sine
 
@@ -355,6 +357,21 @@ def test_mel_spectrogram_rejects_rate_mismatch():
     audio = AudioBuffer(np.zeros(16000), 16000)
     with pytest.raises(ValueError, match="resample"):
         mel_spectrogram(audio, MelConfig(12000, 96))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AudioBuffer(np.zeros(4), 16000),
+    lambda: PowerSpectrogram(np.zeros((257, 2)), 16000, 256),
+    lambda: MelFilterbank(np.zeros((8, 257)), np.zeros(8)),
+    lambda: MelSpectrogram(np.zeros((8, 2)), MelConfig(16000, 8)),
+    lambda: TagTable(np.zeros((2, 1)), np.ones((2, 1), dtype=int), ("a",)),
+], ids=["AudioBuffer", "PowerSpectrogram", "MelFilterbank", "MelSpectrogram", "TagTable"])
+def test_records_holding_arrays_compare_and_hash_by_identity(build):
+    # Comparing the arrays field by field would raise (ambiguous truth value).
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_mel_output_nonincreasing_under_compression_order(rng):

@@ -358,6 +358,10 @@ class TestTagTable:
         with pytest.raises(ValueError):
             TagTable(np.zeros((2, 1)), np.full((2, 1), 3), ("a",))
 
+    def test_rejects_one_dimensional_input(self):
+        with pytest.raises(ValueError, match=r"must be 2-D \(items x tags\)$"):
+            TagTable(np.zeros(2), np.zeros(2, dtype=int), ("a",))
+
     def test_arrays_frozen(self):
         table = two_tag_table()
         with pytest.raises(ValueError):
@@ -417,6 +421,19 @@ class TestWelch:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             t_test_independent([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], "samples must be 1-D"),
+            ([1.0, 2.0], [1.0, math.nan], "samples must be finite"),
+            ([math.inf, 2.0], [1.0, 2.0], "samples must be finite"),
+        ],
+        ids=["two-dimensional", "nan", "inf"],
+    )
+    def test_rejects_samples_that_are_not_finite_and_1d(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            t_test_independent(a, b)
 
     def test_one_sided_variance_ok(self):
         t, p = t_test_independent([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
@@ -535,6 +552,14 @@ class TestTagIO:
         pred.write_text("a,b\n0.9,0.1\n0.2,0.8\n")
         labels.write_text("a,c\n1,0\n0,1\n")
         with pytest.raises(SchemaError, match="'c'"):
+            load_tag_table(pred, labels)
+
+    def test_headers_of_different_lengths(self, tmp_path):
+        pred = tmp_path / "pred.csv"
+        labels = tmp_path / "labels.csv"
+        pred.write_text("a,b\n0.9,0.1\n")
+        labels.write_text("a,b,c\n1,0,1\n")
+        with pytest.raises(SchemaError, match="^predictions have 2 tags, labels have 3$"):
             load_tag_table(pred, labels)
 
     def test_row_count_mismatch(self, tmp_path):
