@@ -170,6 +170,8 @@ class ArchSpec:
                 raise ValueError("vgg-cnn requires a pooling plan")
             if self.backend_layers:
                 raise ValueError("vgg-cnn takes no backend_layers")
+            if self.segment_frames is not None:
+                raise ValueError("vgg-cnn takes no segment_frames")
             if self.layers != _VGG_LAYERS:
                 raise ValueError(
                     'vgg-cnn is fixed to four 3x3 "same"-padded conv layers with '

@@ -45,7 +45,7 @@ from .config import (
     is_grid_config,
     mspec_size,
 )
-from .dsp import AudioBuffer, stft_power
+from .dsp import AudioBuffer, PowerSpectrogram, stft_power
 from .exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 
 __all__ = [
@@ -196,22 +196,8 @@ def _cached_filterbank(config: MelConfig) -> MelFilterbank:
     return fb
 
 
-# The last spectrum computed: (weak reference to its AudioBuffer,
-# PowerSpectrogram). One tuple, replaced in a single assignment, so
-# concurrent readers see a whole entry or none.
-_spectrum_slot: tuple | None = None
-
-
-def _drop_spectrum(ref: weakref.ref) -> None:
-    """Clear the slot when the buffer it holds a spectrum of is collected.
-
-    If another thread fills the slot between the test and the clearing,
-    that entry is lost, which costs one STFT and never a wrong result.
-    """
-    global _spectrum_slot
-    held = _spectrum_slot
-    if held is not None and held[0] is ref:
-        _spectrum_slot = None
+# The last spectrum computed, keyed by its AudioBuffer while that lives.
+_spectra: weakref.WeakKeyDictionary[AudioBuffer, PowerSpectrogram] = weakref.WeakKeyDictionary()
 
 
 def _power_bins(audio: AudioBuffer, hop: int) -> np.ndarray:
@@ -222,14 +208,14 @@ def _power_bins(audio: AudioBuffer, hop: int) -> np.ndarray:
     stft_power at the requested hop, never a finer one, and the result
     replaces the held spectrum.
     """
-    global _spectrum_slot
-    held = _spectrum_slot
-    if held is not None and held[0]() is audio and hop % held[1].hop == 0:
-        return held[1].bins[:, :: hop // held[1].hop]
+    held = _spectra.get(audio)
+    if held is not None and hop % held.hop == 0:
+        return held.bins[:, :: hop // held.hop]
     # Let the held spectrum go first, so that two are never held at once.
-    held = _spectrum_slot = None
+    del held
+    _spectra.clear()
     spectrum = stft_power(audio, hop)
-    _spectrum_slot = (weakref.ref(audio, _drop_spectrum), spectrum)
+    _spectra[audio] = spectrum
     return spectrum.bins
 
 

@@ -21,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 
@@ -259,7 +260,7 @@ def read_tag_csv(path, labels: bool = False) -> tuple[tuple[str, ...], np.ndarra
     must be scores in [0, 1], or with labels=True exactly 0 or 1; the first
     that is not, or a quoted cell, raises SchemaError naming its line. Bytes
     that are not UTF-8, or a header the csv module refuses, raise
-    SchemaError naming the file.
+    SchemaError naming the file (and the first bad byte's offset in it).
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -269,7 +270,15 @@ def read_tag_csv(path, labels: bool = False) -> tuple[tuple[str, ...], np.ndarra
             else:
                 raise SchemaError(f"{path}: empty file")
             body = fh.read()
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        # exc counts from the start of the decoder's chunk; decoding the
+        # bytes in one piece counts from the start of the file, BOM included.
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise SchemaError(f"{path}: {exc}") from exc
+    except csv.Error as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     names = tuple(cell.strip() for cell in cells)
     if "" in names:

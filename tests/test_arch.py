@@ -120,11 +120,14 @@ class TestLayerAndPlanValidation:
                   pooling=vgg_pooling_plan(96, 1, 12000),
                   backend_layers=(ConvLayerSpec(1, 7, 512),)),
              "vgg-cnn takes no backend_layers"),
+            (dict(name="vgg-cnn", layers=vgg_arch(vgg_pooling_plan(96, 1, 12000)).layers,
+                  pooling=vgg_pooling_plan(96, 1, 12000), segment_frames=7),
+             "vgg-cnn takes no segment_frames"),
             (dict(name="musicnn-frontend", layers=(ConvLayerSpec(3, 3, 8),),
                   pooling=vgg_pooling_plan(96, 1, 12000), segment_frames=187),
              "musicnn-frontend has no block pooling plan"),
         ],
-        ids=["empty-layers", "vgg-backend", "musicnn-pooling"],
+        ids=["empty-layers", "vgg-backend", "vgg-segment-frames", "musicnn-pooling"],
     )
     def test_spec_rejects_fields_its_arch_does_not_take(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -21,7 +21,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def test_tracer_wraps_the_signal_chain_and_restores_it(rng, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
-    monkeypatch.setattr(mel, "_spectrum_slot", None)
     bindings = [
         (importlib.import_module(module), attr) for module, attr, _ in tracer.WRAPPED
     ]

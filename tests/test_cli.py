@@ -296,9 +296,12 @@ class TestEvaluate:
             (b"a,\xffb\n0.9,0.1\n",
              "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
             (b"a,b\n" + b"0.9,0.1\n" * 3000 + b"0.9,\xff\n",
-             r"'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte"),
+             "'utf-8' codec can't decode byte 0xff in position 24008: invalid start byte"),
+            (b"\xef\xbb\xbfa,\xffb\n0.9,0.1\n",
+             "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
         ],
-        ids=["header-field-over-csv-limit", "not-utf8-in-header", "not-utf8-past-first-read"],
+        ids=["header-field-over-csv-limit", "not-utf8-in-header", "not-utf8-past-first-read",
+             "not-utf8-after-bom"],
     )
     def test_unreadable_csv_is_an_error_line_naming_the_file(self, tmp_path, capsys,
                                                              text, message):

@@ -352,6 +352,8 @@ class TestColumns:
         assert one == DatasetManifest(("1",), ("0/x.mp3",), ("a",), np.ones((1, 1), np.uint8))
         assert one != DatasetManifest(("1",), ("0/x.mp3",), ("a",), [(0,)])
         assert one != DatasetManifest(("1",), ("0/y.mp3",), ("a",), [(1,)])
+        assert one != "x"
+        assert (one == object()) is False
 
     def test_crlf_and_non_ascii_ids_parse(self, tmp_path):
         path = tmp_path / "crlf.tsv"

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -220,8 +221,7 @@ def _fresh_mel(audio, config):
 
 
 @pytest.mark.parametrize("compression", ["dB", "log"])
-def test_mel_spectrogram_bytes_match_public_compression(rng, monkeypatch, compression):
-    monkeypatch.setattr(mel, "_spectrum_slot", None)
+def test_mel_spectrogram_bytes_match_public_compression(rng, compression):
     audio = AudioBuffer(rng.uniform(-1.0, 1.0, 12000), 12000)
     config = MelConfig(12000, 48, 2, compression)
     got = mel_spectrogram(audio, config).values
@@ -247,7 +247,7 @@ def test_compressions_over_their_input_give_the_same_bytes(rng):
 
 @pytest.fixture
 def counted_stfts(monkeypatch):
-    """Hops of the STFTs mel_spectrogram runs, with an empty spectrum slot."""
+    """Hops of the STFTs mel_spectrogram runs."""
     hops = []
 
     def counting(audio, hop):
@@ -255,7 +255,6 @@ def counted_stfts(monkeypatch):
         return stft_power(audio, hop)
 
     monkeypatch.setattr(mel, "stft_power", counting)
-    monkeypatch.setattr(mel, "_spectrum_slot", None)
     return hops
 
 
@@ -286,27 +285,39 @@ def test_other_buffer_misses_the_held_spectrum(rng, counted_stfts):
 
 
 def test_held_spectrum_is_let_go_before_a_miss_is_computed(rng, monkeypatch):
-    slot_during_stft = []
+    held_during_stft = []
+    computed = []
 
     def observing(audio, hop):
-        slot_during_stft.append(mel._spectrum_slot)
-        return stft_power(audio, hop)
+        alive = [ref for ref in computed if ref() is not None]
+        held_during_stft.append((len(mel._spectra), len(alive)))
+        spectrum = stft_power(audio, hop)
+        computed.append(weakref.ref(spectrum))
+        return spectrum
 
     monkeypatch.setattr(mel, "stft_power", observing)
     first = AudioBuffer(rng.standard_normal(12000), 12000)
     second = AudioBuffer(rng.standard_normal(12000), 12000)
-    mel_spectrogram(first, MelConfig(12000, 48))
-    mel_spectrogram(second, MelConfig(12000, 48))
-    assert slot_during_stft == [None, None]
+    # the second call misses on the same buffer, at a finer hop
+    for audio, hop_multiplier in ((first, 2), (first, 1), (second, 1)):
+        mel_spectrogram(audio, MelConfig(12000, 48, hop_multiplier))
+    assert held_during_stft == [(0, 0), (0, 0), (0, 0)]
 
 
 def test_held_spectrum_is_dropped_with_its_buffer(rng, counted_stfts):
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
+    samples = audio.samples
     mel_spectrogram(audio, MelConfig(12000, 48))
-    assert mel._spectrum_slot is not None
+    assert len(mel._spectra) == 1
     del audio
     gc.collect()
-    assert mel._spectrum_slot is None
+    assert len(mel._spectra) == 0
+    # a new buffer of the same samples may reuse the freed id; it is still
+    # a different key, so it runs its own transform
+    again = AudioBuffer(samples, 12000)
+    config = MelConfig(12000, 48)
+    assert np.array_equal(mel_spectrogram(again, config).values, _fresh_mel(again, config))
+    assert counted_stfts == [256, 256]
 
 
 def test_threads_sharing_the_slot_get_their_own_spectra(rng):
