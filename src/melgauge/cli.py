@@ -25,7 +25,9 @@ line in input order once it and every input before it are done. After
 an unexpected error no queued input starts. Unless numpy is already
 loaded, it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1, so BLAS starts no threads of its own beside the
-workers.
+workers. On glibc, unless MALLOC_ARENA_MAX is set, it also calls
+mallopt(M_ARENA_MAX, 1), so the workers allocate from the main malloc
+arena and do not fault their heap back in for every input.
 """
 
 from __future__ import annotations
@@ -387,6 +389,30 @@ def _usable_cores() -> int:
 # per core; beside one extract worker per core those threads only contend.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+_M_ARENA_MAX = -8  # mallopt parameter, from glibc's malloc.h
+
+
+def _one_malloc_arena() -> None:
+    """On glibc, make every thread allocate from the main malloc arena.
+
+    A worker's own arena hands the ~14 MB of arrays each input frees back
+    to the system and faults it in again for the next input; the main
+    arena keeps it. A MALLOC_ARENA_MAX already set wins.
+    """
+    if "MALLOC_ARENA_MAX" in os.environ:
+        return
+    import ctypes
+
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):  # not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
 
 def cmd_extract(args) -> int:
     if not args.inputs:
@@ -408,6 +434,7 @@ def cmd_extract(args) -> int:
     if "numpy" not in sys.modules:
         for name in _BLAS_THREAD_VARIABLES:
             os.environ.setdefault(name, "1")
+    _one_malloc_arena()
     importlib.import_module(".mel", __package__)  # numpy loads here, not in a worker
 
     from concurrent.futures import ThreadPoolExecutor  # only extract loads it

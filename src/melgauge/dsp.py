@@ -57,6 +57,8 @@ class AudioBuffer:
 
     Samples are float64, nominally in [-1, 1]; the range is not enforced
     because resampling may overshoot slightly. Finiteness is enforced.
+    Bool, integer and float input is converted; any other dtype, complex
+    and text included, raises ValueError.
     Samples are read-only: the input is copied unless it is a float64
     array that owns its data and is already read-only, so a buffer never
     changes after it is built and spectra cached for it stay valid.
@@ -66,7 +68,10 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "biuf":  # float64 drops imaginary parts, parses text
+            raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
+        samples = samples.astype(np.float64, copy=False)
         if samples.ndim != 1:
             raise ValueError(f"expected mono 1-D samples, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):

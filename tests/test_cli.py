@@ -569,6 +569,36 @@ class TestExtract:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == one_per_call
         assert len(one_per_call) == 6
 
+    def test_unknown_core_count_runs_one_worker(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        rng = np.random.default_rng(12)
+        inputs = [str(write_wav(tmp_path / f"clip{i}.wav",
+                                0.3 * rng.standard_normal(6000 + 1000 * i), 12000))
+                  for i in range(3)]
+        argv = ["extract", "--sample-rate", "12000", "--mels", "48"]
+        assert main([*argv, "--out-dir", str(tmp_path / "usual"), *inputs]) == 0
+        usual = capsys.readouterr()
+
+        pool_sizes = []
+        executor = concurrent.futures.ThreadPoolExecutor
+
+        def recording_executor(max_workers):
+            pool_sizes.append(max_workers)
+            return executor(max_workers)
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_executor)
+        assert main([*argv, "--out-dir", str(tmp_path / "fallback"), *inputs]) == 0
+        fallback = capsys.readouterr()
+        assert pool_sizes == [1]
+        assert fallback.out == usual.out.replace(str(tmp_path / "usual"),
+                                                 str(tmp_path / "fallback"))
+        assert fallback.err == usual.err == ""
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "fallback").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "usual").iterdir()})
+
     @pytest.mark.parametrize("error, cores", [
         (RuntimeError, 3), (KeyboardInterrupt, 3), (RuntimeError, 1),
     ], ids=["RuntimeError", "KeyboardInterrupt", "RuntimeError-one-core"])

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 import struct
 import threading
+import warnings
 import wave
 
 import numpy as np
@@ -642,3 +644,33 @@ def test_audio_buffer_validation():
         AudioBuffer(np.array([0.0, np.nan]), 12000)
     with pytest.raises(ValueError):
         AudioBuffer(np.zeros(10), 0)
+
+
+@pytest.mark.parametrize("samples, dtype", [
+    (np.array([0.5 + 0.25j, -0.5 + 0.0j]), "complex128"),
+    (np.array([0.5, -0.5], dtype=np.complex64), "complex64"),
+    (np.array(["1", "2"]), "<U1"),
+    (np.array([b"0.5", b"-0.5"]), "|S4"),
+    (["0.5", "-0.5"], "<U4"),
+    (np.array([0.5, "1"], dtype=object), "object"),
+], ids=["complex128", "complex64", "str", "bytes", "str-list", "object"])
+def test_audio_buffer_refuses_samples_that_are_not_real_numbers(samples, dtype):
+    # float64 conversion would drop the imaginary part or parse the text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal comes before any ComplexWarning
+        with pytest.raises(ValueError, match=f"got dtype {re.escape(dtype)}$"):
+            AudioBuffer(samples, 12000)
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([True, False, True]),
+    np.array([-3, 0, 7], dtype=np.int16),
+    np.array([0, 1, 255], dtype=np.uint8),
+    [1, -2, 3],
+    np.array([0.5, -0.25, 0.125], dtype=np.float32),
+    [0.5, -0.25, 0.125],
+], ids=["bool", "int16", "uint8", "int-list", "float32", "float-list"])
+def test_audio_buffer_converts_real_numbers_to_float64(samples):
+    audio = AudioBuffer(samples, 12000)
+    assert audio.samples.dtype == np.float64
+    assert audio.samples.tolist() == [float(value) for value in np.asarray(samples)]

@@ -129,6 +129,65 @@ def test_extract_pins_blas_threads_only_before_numpy_loads(prelude, preset, expe
     assert proc.stdout.splitlines()[-1] == f"0 {expected}"
 
 
+def on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Stands in for ctypes.CDLL(None).mallopt: each call records its arguments,
+# the Python threads alive and whether numpy had loaded.
+MALLOPT_RECORDER = """
+import ctypes, os, sys, threading, types
+calls = []
+real_cdll = ctypes.CDLL
+
+def mallopt(param, value):
+    calls.append((param, value, threading.active_count(), "numpy" in sys.modules))
+    return 1
+
+libc = types.SimpleNamespace(mallopt=mallopt)
+ctypes.CDLL = lambda name, *args: libc if name is None else real_cdll(name, *args)
+"""
+EXTRACT = ("import melgauge.cli; melgauge.cli.main(['extract', '--sample-rate', '16000', "
+           "'--mels', '96', '--out-dir', 'feats', 'tone.wav'])")
+LIBRARY = ("import melgauge; os.mkdir('feats'); melgauge.write_mspec('feats/tone.mspec', "
+           "melgauge.mel_spectrogram(melgauge.read_wav_mono('tone.wav'), "
+           "melgauge.MelConfig(16000, 96)))")
+
+
+@pytest.mark.parametrize(
+    "preset, prelude, run, expected",
+    [
+        pytest.param(None, "", EXTRACT, [(-8, 1, 1, False)], id="glibc",
+                     marks=pytest.mark.skipif(not on_glibc(), reason="glibc only")),
+        pytest.param("2", "", EXTRACT, [], id="user-value-wins"),
+        pytest.param(None, "del os.confstr", EXTRACT, [], id="no-confstr"),
+        pytest.param(None, "del libc.mallopt", EXTRACT, [], id="no-mallopt-symbol"),
+        pytest.param(None, "", LIBRARY, [], id="library"),
+    ],
+)
+def test_extract_asks_glibc_for_one_malloc_arena(preset, prelude, run, expected, tmp_path):
+    from melgauge import MelConfig, mel_spectrogram, read_wav_mono, write_mspec
+
+    write_tone(tmp_path / "tone.wav", 16000)
+    write_mspec(tmp_path / "expected.mspec",
+                mel_spectrogram(read_wav_mono(tmp_path / "tone.wav"), MelConfig(16000, 96)))
+    env = {name: value for name, value in os.environ.items() if name != "MALLOC_ARENA_MAX"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if preset is not None:
+        env["MALLOC_ARENA_MAX"] = preset
+    code = f"{MALLOPT_RECORDER}{prelude}\n{run}\nprint(calls)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # Called once, from the main thread, before numpy loads; or not at all.
+    assert proc.stdout.splitlines()[-1] == repr(expected)
+    assert (tmp_path / "feats" / "tone.mspec").read_bytes() == (
+        tmp_path / "expected.mspec").read_bytes()
+
+
 # Every name `melgauge` exports.
 EXPORTS = (
     "DegenerateFilterbankError DegenerateVarianceError EmptySummaryError GridWarning "
