@@ -66,15 +66,14 @@ __all__ = ["main"]
 # Signal-chain and metrics names this module offers as attributes, and the
 # submodule each comes from. They load numpy, so they are imported on first
 # use (PEP 562) and the report commands never import them.
-_LAZY = {"dsp": "dsp", "mel_spectrogram": "mel", "write_mspec": "mel",
+_LAZY = {"mel_spectrogram": "mel", "write_mspec": "mel",
          "load_tag_table": "metrics", "macro_summary": "metrics"}
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __package__)
-    return module if name == _LAZY[name] else getattr(module, name)
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
 
 
 def _fmt(value: float) -> str:

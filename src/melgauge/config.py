@@ -3,7 +3,7 @@
 MelConfig, the grid cells, the benchmark segment's frame counts and the
 .mspec container size are plain arithmetic, so this module imports no
 numpy. The cost and report side (arch, reference, the report commands)
-builds on it alone; the signal chain (dsp, mel) re-exports its names.
+builds on it alone; the signal chain (dsp, mel) imports what it uses.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ sets only the four things the benchmark varies (sample rate, mel count,
 hop multiplier, compression); the grid enumerates the combinations the
 cost and quality tooling in the rest of the package understands.
 MelConfig, the grid and the container sizes are defined in config,
-which imports no numpy, and are re-exported here.
+which imports no numpy; import them from there.
 
 Spectrograms round-trip through a small binary container (magic
 "MSPEC1"), a 40-byte little-endian header followed by row-major float32
@@ -26,35 +26,22 @@ from pathlib import Path
 
 import numpy as np
 
-# The configuration layer, re-exported so that these names stay in mel.
 from .config import (
     _MSPEC_HEADER,
-    BENCHMARK_FRAMES,
-    COMPRESSIONS,
-    GRID_BASE_HOP_MELS,
-    GRID_FULL_HOP_MELS,
-    GRID_HOP_MULTIPLIERS,
-    GRID_MELS,
-    GRID_SAMPLE_RATES,
     MSPEC_HEADER_SIZE,
     REFERENCE_HOP,
     MelConfig,
-    benchmark_frames,
+    # Not read here: the README promises it from mel, and perfbench's grid
+    # worker calls mel.enumerate_grid().
     enumerate_grid,
-    grid_hops,
-    is_grid_config,
     mspec_size,
 )
 from .dsp import AudioBuffer, PowerSpectrogram, stft_power
 from .exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 
 __all__ = [
-    "REFERENCE_HOP",
     "DB_FLOOR_EPS",
     "LOG_COMPRESSION_GAIN",
-    "COMPRESSIONS",
-    "MSPEC_HEADER_SIZE",
-    "mspec_size",
     "MelConfig",
     "MelFilterbank",
     "MelSpectrogram",
@@ -64,10 +51,7 @@ __all__ = [
     "compress_db",
     "compress_log",
     "mel_spectrogram",
-    "grid_hops",
-    "is_grid_config",
     "enumerate_grid",
-    "benchmark_frames",
     "write_mspec",
     "read_mspec",
 ]
@@ -308,8 +292,10 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
             fh.write(header)
             fh.write(payload)
         os.replace(tmp_path, path)
-    except BaseException:
+    except BaseException as exc:
         tmp_path.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.strerror:  # name path, not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
     return len(header) + payload.nbytes
 

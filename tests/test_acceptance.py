@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from melgauge.arch import count_macs, propagate_shapes, vgg_arch, vgg_pooling_plan
-from melgauge.dsp import AudioBuffer
-from melgauge.mel import (
+from melgauge.config import (
     GRID_BASE_HOP_MELS,
     GRID_FULL_HOP_MELS,
     GRID_HOP_MULTIPLIERS,
@@ -20,11 +19,9 @@ from melgauge.mel import (
     MelConfig,
     benchmark_frames,
     enumerate_grid,
-    hz_to_mel_slaney,
-    mel_filterbank,
-    mel_spectrogram,
-    mel_to_hz_slaney,
 )
+from melgauge.dsp import AudioBuffer
+from melgauge.mel import hz_to_mel_slaney, mel_filterbank, mel_spectrogram, mel_to_hz_slaney
 from melgauge.metrics import pr_auc, roc_auc, t_test_independent
 from melgauge.reference import PUBLISHED_AUC, SOURCE_LABEL, published_auc
 

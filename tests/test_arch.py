@@ -22,8 +22,8 @@ from melgauge.arch import (
     vgg_arch,
     vgg_pooling_plan,
 )
+from melgauge.config import MelConfig, benchmark_frames, enumerate_grid
 from melgauge.exceptions import ShapeUnderflowError, UnsupportedConfigError
-from melgauge.mel import MelConfig, benchmark_frames, enumerate_grid
 
 GRID_RATES = (12000, 16000)
 GRID_HOPS = (1, 2, 3, 4, 5, 10)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
+import errno
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import shutil
 import struct
 import sys
 import threading
+import warnings
 import wave
 from collections import Counter
 from pathlib import Path
@@ -445,6 +447,28 @@ class TestExtract:
         ]
         assert sorted(p.name for p in out_dir.iterdir()) == ["tone.mspec"]
 
+    def test_failed_write_names_the_output_not_the_temporary_file(
+        self, tone_wav, tmp_path, capsys
+    ):
+        first = tmp_path / "a.wav"
+        shutil.copy(tone_wav, first)
+        out_dir = tmp_path / "feats"
+        (out_dir / "a.mspec").mkdir(parents=True)  # the write onto it fails
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "48",
+            "--out-dir", str(out_dir), str(first), str(tone_wav),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {first}: [Errno {errno.EISDIR}] Is a directory: '{out_dir / 'a.mspec'}'\n"
+        )
+        assert captured.out.splitlines() == [
+            f"wrote {out_dir / 'tone.mspec'} ({40 + 48 * 1366 * 4} bytes)"
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a.mspec", "tone.mspec"]
+        assert (out_dir / "a.mspec").is_dir()
+
     def test_resamples_to_analysis_rate(self, tmp_path, capsys):
         t = np.arange(16000) / 16000.0
         source = write_wav(tmp_path / "hi.wav", 0.4 * np.sin(2 * np.pi * 440.0 * t), 16000)
@@ -712,6 +736,28 @@ def test_non_positive_selector_is_a_usage_error(command, flag, value, tmp_path, 
         f"error: argument {flag}: expected a positive integer, got {value!r}\n"
     )
     assert not out_dir.exists()
+
+
+# -------------------------------------------------------------- warnings
+
+
+def test_other_warnings_keep_pythons_format(monkeypatch, capsys):
+    # main turns only a GridWarning into a `warning: ...` line; any other
+    # warning a command raises is printed the way Python prints it.
+    import melgauge.cli as cli
+
+    def cmd_grid(args):
+        warnings.warn("overflow in a stand-in command", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_grid", cmd_grid)
+    assert main(["grid"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == warnings.formatwarning(
+        "overflow in a stand-in command", RuntimeWarning, __file__,
+        cmd_grid.__code__.co_firstlineno + 1,
+    )
 
 
 # ------------------------------------------------------------------ --out

@@ -7,6 +7,11 @@ the digest below. The digests come from computing every cell with its
 own STFT and filterbank, so this pins that mel_spectrogram's spectrum
 reuse across hops and its filterbank cache leave the bytes unchanged.
 
+Every cell is also checked against perfbench/reference.py, which
+computes the chain from the README's conventions and imports nothing
+from melgauge: the digests say "same as before", that check says
+"within float32 of an independent oracle".
+
 A second, smaller table pins six cells as a fresh `python -m melgauge
 extract` process writes them from float32 copies of the same clips.
 
@@ -16,6 +21,7 @@ Reprint the tables (after a deliberate output change) with:
 """
 
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -23,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from melgauge.dsp import AudioBuffer
+from melgauge.dsp import AudioBuffer, resample_rational
 from melgauge.mel import enumerate_grid, mel_spectrogram, write_mspec
 
 SEGMENT_SECONDS = 29.1
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def grid_clip(sample_rate: int) -> AudioBuffer:
@@ -154,6 +161,34 @@ DIGESTS = {
 
 def test_every_grid_cell_keeps_its_bytes(tmp_path):
     assert grid_digests(tmp_path) == DIGESTS
+
+
+def test_every_grid_cell_agrees_with_the_independent_reference(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    reference = importlib.import_module("reference")
+    clips = {rate: grid_clip(rate) for rate in (12000, 16000)}
+    refs = {rate: reference.ClipReference(clip.samples, rate) for rate, clip in clips.items()}
+    problems = {}
+    for config in enumerate_grid():
+        ref = refs[config.sample_rate]
+        hop = reference.BASE_HOP * config.hop_multiplier
+        path = tmp_path / f"{config.config_id}.mspec"
+        write_mspec(path, mel_spectrogram(clips[config.sample_rate], config))
+        found = reference.check_mspec(
+            path.read_bytes(), config.sample_rate, ref.samples.size, config.n_mels,
+            config.hop_multiplier, config.compression,
+            ref.mel_power(config.n_mels, hop), ref.bank(config.n_mels), tones=[],
+        )
+        if found:
+            problems[config.config_id] = found
+    assert len(enumerate_grid()) == 88
+    assert problems == {}
+
+    resampled = resample_rational(clips[16000], 12000).samples
+    expected = reference.resample(clips[16000].samples, 16000, 12000)
+    assert resampled.shape == expected.shape
+    excess = np.abs(resampled - expected) - (reference.ATOL + reference.RTOL * np.abs(expected))
+    assert excess.max() <= 0
 
 
 def float32_clip(sample_rate: int) -> np.ndarray:

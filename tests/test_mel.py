@@ -13,23 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melgauge import mel
+from melgauge.config import (
+    MSPEC_HEADER_SIZE,
+    MelConfig,
+    benchmark_frames,
+    enumerate_grid,
+    is_grid_config,
+    mspec_size,
+)
 from melgauge.dsp import AudioBuffer, PowerSpectrogram, frame_count, stft_power
 from melgauge.exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
 from melgauge.mel import (
-    MSPEC_HEADER_SIZE,
-    MelConfig,
     MelFilterbank,
     MelSpectrogram,
-    benchmark_frames,
     compress_db,
     compress_log,
-    enumerate_grid,
     hz_to_mel_slaney,
-    is_grid_config,
     mel_filterbank,
     mel_spectrogram,
     mel_to_hz_slaney,
-    mspec_size,
     read_mspec,
     write_mspec,
 )
@@ -679,6 +681,17 @@ def test_write_mspec_refuses_header_overflow(tmp_path, sample_rate, n_mels, hop_
         write_mspec(path, spec)
     assert str(path) in str(info.value) and str(value) in str(info.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_mspec_failure_names_the_path_not_the_temporary_file(tmp_path):
+    spec = MelSpectrogram(values=np.zeros((8, 1)), config=MelConfig(12000, 8))
+    path = tmp_path / "taken.mspec"
+    path.mkdir()  # the rename onto path fails
+    with pytest.raises(IsADirectoryError) as info:
+        write_mspec(path, spec)
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert str(info.value) == f"[Errno {info.value.errno}] Is a directory: '{path}'"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken.mspec"]
 
 
 @pytest.mark.parametrize(
