@@ -338,19 +338,6 @@ def cmd_evaluate(args) -> int:
 
 # --------------------------------------------------------------- extract
 
-def _extract_one(input_path: str, config: MelConfig, out_path: Path, input_rate: int | None):
-    from . import dsp, mel
-
-    if Path(input_path).suffix.lower() == ".wav":
-        audio = dsp.read_wav_mono(input_path)
-    else:
-        rate = input_rate if input_rate is not None else config.sample_rate
-        audio = dsp.read_raw_float32(input_path, rate)
-    if audio.sample_rate != config.sample_rate:
-        audio = dsp.resample_rational(audio, config.sample_rate)
-    return mel.write_mspec(out_path, mel.mel_spectrogram(audio, config))
-
-
 def _reason(input_path: str, exc: Exception) -> str:
     """exc's message without the input path its error line already names."""
     if isinstance(exc, OSError) and exc.filename == input_path and exc.strerror:
@@ -362,14 +349,16 @@ def _output_paths(inputs: list[str], out_dir: Path) -> list[Path]:
     """OUT_DIR/<stem>.mspec for each input.
 
     Two different files with one stem would overwrite each other's
-    features, so that raises OutputPathError; a file listed twice writes
-    the same bytes twice and is allowed.
+    features, and an input named as its own output would be overwritten,
+    so both raise OutputPathError; a file listed twice is allowed.
     """
     claimed: dict[Path, tuple[str, Path]] = {}
     paths = []
     for input_path in inputs:
         out_path = out_dir / (Path(input_path).stem + ".mspec")
         source = Path(input_path).resolve()
+        if out_path.resolve() == source:
+            raise OutputPathError(f"{input_path} would be overwritten by its own features")
         first, first_source = claimed.setdefault(out_path, (input_path, source))
         if first_source != source:
             raise OutputPathError(f"{first} and {input_path} would both write {out_path}")
@@ -408,8 +397,6 @@ def _one_malloc_arena() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, ValueError, OSError):  # not glibc
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
 
 
@@ -434,13 +421,19 @@ def cmd_extract(args) -> int:
         for name in _BLAS_THREAD_VARIABLES:
             os.environ.setdefault(name, "1")
     _one_malloc_arena()
-    importlib.import_module(".mel", __package__)  # numpy loads here, not in a worker
+    from . import dsp, mel  # numpy loads here, not in a worker
 
     from concurrent.futures import ThreadPoolExecutor  # only extract loads it
 
     def attempt(input_path, out_path):
         try:
-            return _extract_one(input_path, config, out_path, args.input_rate)
+            if Path(input_path).suffix.lower() == ".wav":
+                audio = dsp.read_wav_mono(input_path)
+            else:
+                audio = dsp.read_raw_float32(input_path, args.input_rate or config.sample_rate)
+            if audio.sample_rate != config.sample_rate:
+                audio = dsp.resample_rational(audio, config.sample_rate)
+            return mel.write_mspec(out_path, mel.mel_spectrogram(audio, config))
         except (MelGaugeError, OSError, ValueError) as exc:  # reported below
             return exc
 

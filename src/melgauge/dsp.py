@@ -247,15 +247,14 @@ def read_wav_mono(path) -> AudioBuffer:
                 )
             rate = wav.getframerate()
             declared = wav.getnframes()
-            # wave counts frames as the chunk size // 2 and would drop an odd
-            # last byte; it offers no public accessor for the chunk size.
-            chunk_bytes = wav._data_chunk.chunksize
-            raw = wav.readframes(declared)
+            # wave counts frames as the chunk size // 2 and reads no further
+            # than the data chunk, so one frame more shows an odd last byte.
+            raw = wav.readframes(declared + 1)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from exc
-    if chunk_bytes != 2 * declared:
+    if len(raw) > 2 * declared:
         raise ValueError(
-            f"{path}: WAV data chunk of {chunk_bytes} bytes is not a whole number of "
+            f"{path}: WAV data chunk of {len(raw)} bytes is not a whole number of "
             f"16-bit frames ({declared} frames and 1 byte over)"
         )
     if len(raw) != 2 * declared:

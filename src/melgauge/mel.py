@@ -259,8 +259,14 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
     then renamed onto path, so path holds either its old contents or the
     complete new file, never a partial one. A spectrogram with no frames
     is refused: no reader could tell it from a damaged file. So is one
-    whose rate, mel count, hop or frame count overflows its header field.
+    whose rate, mel count, hop or frame count overflows its header field,
+    or whose values are not 2-D with config.n_mels rows.
     """
+    if mel.values.ndim != 2 or mel.n_mels != mel.config.n_mels:
+        raise ValueError(
+            f"{path}: values of shape {mel.values.shape} do not have "
+            f"{mel.config.n_mels} mel rows"
+        )
     if mel.n_frames < 1:
         raise ValueError(f"{path}: cannot write a spectrogram with no frames")
     try:

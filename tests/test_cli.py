@@ -686,6 +686,25 @@ class TestExtract:
         assert str(first) in captured.err and str(second) in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("out_dir", ["feats", "./feats"])
+    def test_input_that_is_its_own_output_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                     out_dir):
+        monkeypatch.chdir(tmp_path)
+        source = tmp_path / "feats" / "clip.mspec"
+        source.parent.mkdir()
+        features = np.linspace(-0.5, 0.5, 2304).astype("<f4").tobytes()
+        source.write_bytes(features)
+        code = main(["extract", "--sample-rate", "16000", "--mels", "96",
+                     "--out-dir", out_dir, "feats/clip.mspec"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: feats/clip.mspec would be overwritten by its own features\n"
+        )
+        assert source.read_bytes() == features
+        assert [p.name for p in source.parent.iterdir()] == ["clip.mspec"]
+
     def test_out_dir_that_is_a_file(self, tone_wav, tmp_path, capsys):
         blocker = tmp_path / "feats"
         blocker.write_text("not a directory")

@@ -576,6 +576,20 @@ def test_wav_reader_rejects_odd_sized_data_chunk(tmp_path):
     )
 
 
+def test_wav_reader_reads_no_chunk_after_data(tmp_path):
+    # A LIST chunk after the samples, as tag editors append; the reader asks
+    # for one frame more than the header declares and must not get it.
+    path = tmp_path / "tagged.wav"
+    _write_wav(path, np.arange(100, dtype="<i2"), 16000)
+    data = bytearray(path.read_bytes())
+    data += b"LIST" + struct.pack("<I", 12) + b"INFOISFT" + struct.pack("<I", 0)
+    struct.pack_into("<I", data, 4, len(data) - 8)
+    path.write_bytes(bytes(data))
+    audio = read_wav_mono(path)
+    assert audio.samples.size == 100
+    assert np.array_equal(audio.samples * 32768.0, np.arange(100))
+
+
 @pytest.mark.parametrize("extra", [1, 2, 3])
 def test_raw_float32_reader_rejects_partial_sample(tmp_path, rng, extra):
     path = tmp_path / "stream.f32"

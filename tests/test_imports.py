@@ -189,6 +189,61 @@ def test_extract_asks_glibc_for_one_malloc_arena(preset, prelude, run, expected,
         tmp_path / "expected.mspec").read_bytes()
 
 
+# Forwards to the real ctypes.CDLL(None).mallopt, whose argument and return
+# types are left as ctypes' defaults, and records each call with its result.
+REAL_MALLOPT_RECORDER = """
+import ctypes, types
+calls = []
+real_cdll = ctypes.CDLL
+real_mallopt = real_cdll(None).mallopt
+
+def mallopt(*args):
+    calls.append((*args, real_mallopt(*args)))
+    return calls[-1][-1]
+
+libc = types.SimpleNamespace(mallopt=mallopt)
+ctypes.CDLL = lambda name, *args: libc if name is None else real_cdll(name, *args)
+"""
+
+
+@pytest.mark.skipif(not on_glibc(), reason="glibc only")
+def test_extract_arena_call_succeeds_with_ctypes_default_types(tmp_path):
+    write_tone(tmp_path / "tone.wav", 16000)
+    env = {name: value for name, value in os.environ.items() if name != "MALLOC_ARENA_MAX"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    code = f"{REAL_MALLOPT_RECORDER}\n{EXTRACT}\nprint(calls)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # glibc's mallopt returns 1 on success, 0 on error.
+    assert proc.stdout.splitlines()[-1] == repr([(-8, 1, 1)])
+
+
+# Records the thread that first imports numpy and how many threads are alive.
+NUMPY_IMPORT_AUDIT = """
+import sys, threading
+first = []
+
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not first:
+        first.append((threading.current_thread() is threading.main_thread(),
+                      threading.active_count()))
+
+sys.addaudithook(hook)
+"""
+
+
+def test_extract_loads_numpy_on_the_main_thread_before_any_worker(tmp_path):
+    write_tone(tmp_path / "tone.wav", 16000)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"{NUMPY_IMPORT_AUDIT}\n{EXTRACT}\nprint(first)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([(True, 1)])
+    assert (tmp_path / "feats" / "tone.mspec").exists()
+
+
 # Every name `melgauge` exports.
 EXPORTS = (
     "DegenerateFilterbankError DegenerateVarianceError EmptySummaryError GridWarning "
@@ -294,3 +349,16 @@ def test_every_import_in_the_package_is_read_or_exported():
                     and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
                 exported = set(ast.literal_eval(node.value))
         assert sorted(imported - read - exported) == [], path.name
+
+
+def test_no_module_reads_a_private_attribute():
+    # An underscore attribute, such as a stdlib module's internals, may
+    # change in any release; dunders are public protocol.
+    private = []
+    for path in sorted((ROOT / "src" / "melgauge").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        private += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr.startswith("_")
+                    and not (node.attr.startswith("__") and node.attr.endswith("__"))]
+    assert private == []

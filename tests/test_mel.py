@@ -664,6 +664,19 @@ def test_write_mspec_refuses_zero_frames(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("shape", [(96, 3), (47, 3), (48,), (48, 3, 1)])
+def test_write_mspec_refuses_values_without_the_configs_mel_rows(tmp_path, shape):
+    # The header's mel count would come from the values, not the config.
+    spec = MelSpectrogram(values=np.zeros(shape), config=MelConfig(12000, 48))
+    path = tmp_path / "clip.mspec"
+    with pytest.raises(ValueError) as info:
+        write_mspec(path, spec)
+    assert str(info.value) == (
+        f"{path}: values of shape {shape} do not have 48 mel rows"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore::melgauge.exceptions.GridWarning")
 @pytest.mark.parametrize(
     "sample_rate, n_mels, hop_multiplier, value",
