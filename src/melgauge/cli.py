@@ -25,9 +25,9 @@ line in input order once it and every input before it are done. After
 an unexpected error no queued input starts. Unless numpy is already
 loaded, it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1, so BLAS starts no threads of its own beside the
-workers. On glibc, unless MALLOC_ARENA_MAX is set, it also calls
-mallopt(M_ARENA_MAX, 1), so the workers allocate from the main malloc
-arena and do not fault their heap back in for every input.
+workers. On glibc it also asks mallopt for one malloc arena and fixed
+mmap and trim thresholds, so the workers share one heap that keeps each
+input's pages; a MALLOC_* or GLIBC_TUNABLES setting of the user's wins.
 """
 
 from __future__ import annotations
@@ -377,18 +377,26 @@ def _usable_cores() -> int:
 # per core; beside one extract worker per core those threads only contend.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_M_ARENA_MAX = -8  # mallopt parameter, from glibc's malloc.h
+# mallopt settings: (parameter from glibc's malloc.h, value, the environment
+# variable and the GLIBC_TUNABLES name by which a user sets it first).
+_MALLOC_SETTINGS = (
+    (-8, 1, "MALLOC_ARENA_MAX", "glibc.malloc.arena_max"),  # M_ARENA_MAX
+    (-3, 32 << 20, "MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),  # M_MMAP_THRESHOLD
+    (-1, 64 << 20, "MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),  # M_TRIM_THRESHOLD
+)
 
 
 def _one_malloc_arena() -> None:
-    """On glibc, make every thread allocate from the main malloc arena.
+    """On glibc, make every thread allocate from one heap that keeps its pages.
 
     A worker's own arena hands the ~14 MB of arrays each input frees back
     to the system and faults it in again for the next input; the main
-    arena keeps it. A MALLOC_ARENA_MAX already set wins.
+    arena keeps it. Fixed thresholds keep each clip's 3.7 MB arrays off
+    mmap and the freed heap top mapped, where glibc's dynamic ones would
+    hand part of it back. A setting the user made wins: its call is
+    skipped when its MALLOC_* variable is set or GLIBC_TUNABLES names it.
     """
-    if "MALLOC_ARENA_MAX" in os.environ:
-        return
+    tunables = {item.partition("=")[0] for item in os.environ.get("GLIBC_TUNABLES", "").split(":")}
     import ctypes
 
     try:
@@ -397,7 +405,9 @@ def _one_malloc_arena() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, ValueError, OSError):  # not glibc
         return
-    mallopt(_M_ARENA_MAX, 1)
+    for param, value, variable, tunable in _MALLOC_SETTINGS:
+        if variable not in os.environ and tunable not in tunables:
+            mallopt(param, value)
 
 
 def cmd_extract(args) -> int:

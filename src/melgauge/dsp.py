@@ -46,8 +46,9 @@ RESAMPLE_CUTOFF = 0.9
 # which doubles the 2 MB buffer.
 RESAMPLE_BLOCK = 4096
 
-# stft_power windows, transforms and squares this many frames at a time,
-# so its temporaries stay a few hundred kB whatever the clip length.
+# stft_power windows, transforms and squares this many frames at a time in
+# block buffers it reuses, so it allocates under 1 MB beside its output
+# whatever the clip length.
 STFT_BLOCK_FRAMES = 64
 
 
@@ -125,6 +126,8 @@ def stft_power(audio: AudioBuffer, hop: int) -> PowerSpectrogram:
     exactly frame_size points (no zero padding); columns are |X|^2.
     Frame t covers samples t*hop - frame_size/2 up to t*hop +
     frame_size/2, mirrored at the edges. A hop below 1 raises ValueError.
+    Frames inside the clip are read in place; only those within half a
+    frame of either end come from a reflect-padded copy of that end.
     """
     x = audio.samples
     if x.size == 0:
@@ -132,18 +135,30 @@ def stft_power(audio: AudioBuffer, hop: int) -> PowerSpectrogram:
     n_frames = frame_count(x.size, hop)
     frame_size = MelConfig.frame_size
     half = frame_size // 2
-    if x.size > 1:
-        x = np.pad(x, (half, half), mode="reflect")
-    else:
-        x = np.full(2 * half + 1, x[0])
-    frames = sliding_window_view(x, frame_size)[::hop][:n_frames]
+    # (source, index in source of frame 0's first sample, first frame, end frame)
+    if x.size > 2 * frame_size:
+        inner = -(-half // hop)  # frames inner..outer-1 lie inside x
+        outer = (x.size - half) // hop + 1
+        head = np.pad(x[: 3 * half], (half, 0), mode="reflect")
+        tail = np.pad(x[-3 * half :], (0, half), mode="reflect")
+        parts = [(head, 0, 0, inner), (x, -half, inner, outer),
+                 (tail, frame_size - x.size, outer, n_frames)]
+    else:  # too short for a separate head and tail
+        padded = np.pad(x, half, mode="reflect") if x.size > 1 else np.full(frame_size + 1, x[0])
+        parts = [(padded, 0, 0, n_frames)]
     window = hann_window(frame_size)
     power = np.empty((n_frames, half + 1))
-    for start in range(0, n_frames, STFT_BLOCK_FRAMES):
-        spectrum = np.fft.rfft(frames[start : start + STFT_BLOCK_FRAMES] * window, axis=1)
-        block = power[start : start + STFT_BLOCK_FRAMES]
-        np.square(spectrum.real, out=block)
-        block += spectrum.imag**2
+    windowed = np.empty((STFT_BLOCK_FRAMES, frame_size))
+    squares = np.empty((STFT_BLOCK_FRAMES, half + 1))
+    for source, origin, first, end in parts:
+        frames = sliding_window_view(source, frame_size)[origin + first * hop :: hop]
+        for start in range(first, end, STFT_BLOCK_FRAMES):
+            n = min(STFT_BLOCK_FRAMES, end - start)
+            np.multiply(frames[start - first : start - first + n], window, out=windowed[:n])
+            spectrum = np.fft.rfft(windowed[:n], axis=1)
+            block = power[start : start + n]
+            np.square(spectrum.real, out=block)
+            block += np.square(spectrum.imag, out=squares[:n])
     power.flags.writeable = False
     return PowerSpectrogram(bins=power.T, sample_rate=audio.sample_rate, hop=hop)
 

@@ -3,12 +3,13 @@ import math
 import re
 import struct
 import threading
+import tracemalloc
 import warnings
 import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import upfirdn
@@ -209,6 +210,34 @@ def test_stft_blocks_equal_one_shot(rng, hop, n_frames):
 def test_stft_tiny_inputs_equal_one_shot(rng, n):
     x = rng.standard_normal(n)
     assert np.array_equal(stft_power(AudioBuffer(x, 12000), 256).bins, _stft_one_shot(x, 256))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 2560), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(1024, 256, 0)  # the longest clip padded whole
+@example(1025, 256, 0)  # the shortest with its own head and tail
+@example(1025, 2560, 0)  # no frame inside the clip
+@example(3000, 1, 0)
+def test_stft_equals_one_shot(n, hop, seed):
+    # covers one-sample clips, clips shorter than a frame, clips whose
+    # reflected head and tail overlap, and hops longer than the frame
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(stft_power(AudioBuffer(x, 16000), hop).bins, _stft_one_shot(x, hop))
+
+
+@pytest.mark.parametrize("seconds", [29.1, 116.4])
+def test_stft_makes_no_copy_of_the_clip(rng, seconds):
+    # beside its output, stft_power allocates a fixed set of block buffers
+    # (under 1 MB), not a padded copy of the clip
+    audio = AudioBuffer(rng.uniform(-1.0, 1.0, round(seconds * 16000)), 16000)
+    tracemalloc.start()
+    try:
+        spectrum = stft_power(audio, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - spectrum.bins.nbytes < 1.5e6
 
 
 @settings(max_examples=150, deadline=None)

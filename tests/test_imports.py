@@ -158,15 +158,52 @@ LIBRARY = ("import melgauge; os.mkdir('feats'); melgauge.write_mspec('feats/tone
            "melgauge.MelConfig(16000, 96)))")
 
 
+# The calls extract makes on glibc: one malloc arena, then fixed mmap and
+# trim thresholds, each as (param, value).
+ARENA, MMAP_THRESHOLD, TRIM_THRESHOLD = (-8, 1), (-3, 32 << 20), (-1, 64 << 20)
+MALLOC_CALLS = [ARENA, MMAP_THRESHOLD, TRIM_THRESHOLD]
+# Every way a user sets malloc up before extract runs, kept out of the tests' processes.
+MALLOC_ENVIRONMENT = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                      "GLIBC_TUNABLES")
+
+
+def malloc_env(preset):
+    env = {name: value for name, value in os.environ.items() if name not in MALLOC_ENVIRONMENT}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env.update(preset)
+    return env
+
+
+def glibc_only(*args, **kwargs):
+    return pytest.param(*args, **kwargs,
+                        marks=pytest.mark.skipif(not on_glibc(), reason="glibc only"))
+
+
 @pytest.mark.parametrize(
     "preset, prelude, run, expected",
     [
-        pytest.param(None, "", EXTRACT, [(-8, 1, 1, False)], id="glibc",
-                     marks=pytest.mark.skipif(not on_glibc(), reason="glibc only")),
-        pytest.param("2", "", EXTRACT, [], id="user-value-wins"),
-        pytest.param(None, "del os.confstr", EXTRACT, [], id="no-confstr"),
-        pytest.param(None, "del libc.mallopt", EXTRACT, [], id="no-mallopt-symbol"),
-        pytest.param(None, "", LIBRARY, [], id="library"),
+        glibc_only({}, "", EXTRACT, MALLOC_CALLS, id="glibc"),
+        glibc_only({"MALLOC_ARENA_MAX": "2"}, "", EXTRACT, [MMAP_THRESHOLD, TRIM_THRESHOLD],
+                   id="user-value-wins"),
+        glibc_only({"MALLOC_MMAP_THRESHOLD_": "1048576"}, "", EXTRACT, [ARENA, TRIM_THRESHOLD],
+                   id="mmap-threshold-variable-wins"),
+        glibc_only({"MALLOC_TRIM_THRESHOLD_": "1048576"}, "", EXTRACT, [ARENA, MMAP_THRESHOLD],
+                   id="trim-threshold-variable-wins"),
+        glibc_only({"GLIBC_TUNABLES": "glibc.malloc.arena_max=4"}, "", EXTRACT,
+                   [MMAP_THRESHOLD, TRIM_THRESHOLD], id="arena-tunable-wins"),
+        glibc_only({"GLIBC_TUNABLES": "glibc.malloc.check=0:glibc.malloc.mmap_threshold=1048576"},
+                   "", EXTRACT, [ARENA, TRIM_THRESHOLD], id="mmap-threshold-tunable-wins"),
+        glibc_only({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=1048576"}, "", EXTRACT,
+                   [ARENA, MMAP_THRESHOLD], id="trim-threshold-tunable-wins"),
+        pytest.param({"MALLOC_ARENA_MAX": "2", "MALLOC_MMAP_THRESHOLD_": "1048576",
+                      "MALLOC_TRIM_THRESHOLD_": "1048576"}, "", EXTRACT, [],
+                     id="every-variable-set"),
+        pytest.param({"GLIBC_TUNABLES": "glibc.malloc.arena_max=4:"
+                      "glibc.malloc.mmap_threshold=1048576:glibc.malloc.trim_threshold=1048576"},
+                     "", EXTRACT, [], id="every-tunable-set"),
+        pytest.param({}, "del os.confstr", EXTRACT, [], id="no-confstr"),
+        pytest.param({}, "del libc.mallopt", EXTRACT, [], id="no-mallopt-symbol"),
+        pytest.param({}, "", LIBRARY, [], id="library"),
     ],
 )
 def test_extract_asks_glibc_for_one_malloc_arena(preset, prelude, run, expected, tmp_path):
@@ -175,16 +212,12 @@ def test_extract_asks_glibc_for_one_malloc_arena(preset, prelude, run, expected,
     write_tone(tmp_path / "tone.wav", 16000)
     write_mspec(tmp_path / "expected.mspec",
                 mel_spectrogram(read_wav_mono(tmp_path / "tone.wav"), MelConfig(16000, 96)))
-    env = {name: value for name, value in os.environ.items() if name != "MALLOC_ARENA_MAX"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    if preset is not None:
-        env["MALLOC_ARENA_MAX"] = preset
     code = f"{MALLOPT_RECORDER}{prelude}\n{run}\nprint(calls)"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=malloc_env(preset),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # Called once, from the main thread, before numpy loads; or not at all.
-    assert proc.stdout.splitlines()[-1] == repr(expected)
+    # Each call from the main thread, before numpy loads; or none at all.
+    assert proc.stdout.splitlines()[-1] == repr([(*call, 1, False) for call in expected])
     assert (tmp_path / "feats" / "tone.mspec").read_bytes() == (
         tmp_path / "expected.mspec").read_bytes()
 
@@ -209,14 +242,12 @@ ctypes.CDLL = lambda name, *args: libc if name is None else real_cdll(name, *arg
 @pytest.mark.skipif(not on_glibc(), reason="glibc only")
 def test_extract_arena_call_succeeds_with_ctypes_default_types(tmp_path):
     write_tone(tmp_path / "tone.wav", 16000)
-    env = {name: value for name, value in os.environ.items() if name != "MALLOC_ARENA_MAX"}
-    env["PYTHONPATH"] = str(ROOT / "src")
     code = f"{REAL_MALLOPT_RECORDER}\n{EXTRACT}\nprint(calls)"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=malloc_env({}),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # glibc's mallopt returns 1 on success, 0 on error.
-    assert proc.stdout.splitlines()[-1] == repr([(-8, 1, 1)])
+    assert proc.stdout.splitlines()[-1] == repr([(*call, 1) for call in MALLOC_CALLS])
 
 
 # Records the thread that first imports numpy and how many threads are alive.
