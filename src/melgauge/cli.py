@@ -25,9 +25,9 @@ line in input order once it and every input before it are done. After
 an unexpected error no queued input starts. Unless numpy is already
 loaded, it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1, so BLAS starts no threads of its own beside the
-workers. On glibc it also asks mallopt for one malloc arena and fixed
-mmap and trim thresholds, so the workers share one heap that keeps each
-input's pages; a MALLOC_* or GLIBC_TUNABLES setting of the user's wins.
+workers. On glibc it also fixes mallopt's mmap and trim thresholds, so
+the heap keeps each input's pages for the next; a MALLOC_* or
+GLIBC_TUNABLES setting of the user's wins.
 """
 
 from __future__ import annotations
@@ -380,21 +380,19 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 # mallopt settings: (parameter from glibc's malloc.h, value, the environment
 # variable and the GLIBC_TUNABLES name by which a user sets it first).
 _MALLOC_SETTINGS = (
-    (-8, 1, "MALLOC_ARENA_MAX", "glibc.malloc.arena_max"),  # M_ARENA_MAX
     (-3, 32 << 20, "MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),  # M_MMAP_THRESHOLD
     (-1, 64 << 20, "MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),  # M_TRIM_THRESHOLD
 )
 
 
-def _one_malloc_arena() -> None:
-    """On glibc, make every thread allocate from one heap that keeps its pages.
+def _keep_malloc_pages() -> None:
+    """On glibc, keep the pages each input frees for the next input.
 
-    A worker's own arena hands the ~14 MB of arrays each input frees back
-    to the system and faults it in again for the next input; the main
-    arena keeps it. Fixed thresholds keep each clip's 3.7 MB arrays off
-    mmap and the freed heap top mapped, where glibc's dynamic ones would
-    hand part of it back. A setting the user made wins: its call is
-    skipped when its MALLOC_* variable is set or GLIBC_TUNABLES names it.
+    Fixed thresholds keep each clip's 3.7 MB arrays off mmap and the
+    freed heap top mapped, where glibc's dynamic ones would hand part of
+    them back to the system and fault them in again. A setting the user
+    made wins: its call is skipped when its MALLOC_* variable is set or
+    GLIBC_TUNABLES names it.
     """
     tunables = {item.partition("=")[0] for item in os.environ.get("GLIBC_TUNABLES", "").split(":")}
     import ctypes
@@ -422,18 +420,19 @@ def cmd_extract(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_paths = _output_paths(args.inputs, out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputPathError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
     # BLAS reads these once, when numpy loads; a value already set wins.
     if "numpy" not in sys.modules:
         for name in _BLAS_THREAD_VARIABLES:
             os.environ.setdefault(name, "1")
-    _one_malloc_arena()
+    _keep_malloc_pages()
     from . import dsp, mel  # numpy loads here, not in a worker
-
     from concurrent.futures import ThreadPoolExecutor  # only extract loads it
+
+    mel.mel_filterbank(config)  # a degenerate filterbank fails once, before any write
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputPathError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
 
     def attempt(input_path, out_path):
         try:

@@ -144,7 +144,7 @@ def stft_power(audio: AudioBuffer, hop: int) -> PowerSpectrogram:
         parts = [(head, 0, 0, inner), (x, -half, inner, outer),
                  (tail, frame_size - x.size, outer, n_frames)]
     else:  # too short for a separate head and tail
-        padded = np.pad(x, half, mode="reflect") if x.size > 1 else np.full(frame_size + 1, x[0])
+        padded = np.pad(x, half, mode="reflect")
         parts = [(padded, 0, 0, n_frames)]
     window = hann_window(frame_size)
     power = np.empty((n_frames, half + 1))

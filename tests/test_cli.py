@@ -686,6 +686,22 @@ class TestExtract:
         assert str(first) in captured.err and str(second) in captured.err
         assert not out_dir.exists()
 
+    def test_degenerate_filterbank_refused_once_before_any_work(self, tmp_path, capsys):
+        t = np.arange(16000) / 16000.0
+        inputs = [str(write_wav(tmp_path / f"{name}.wav", 0.4 * np.sin(2 * np.pi * 440.0 * t),
+                                16000)) for name in "abc"]
+        out_dir = tmp_path / "feats"
+        code = main(["extract", "--sample-rate", "16000", "--mels", "200",
+                     "--out-dir", str(out_dir), *inputs])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error: ")] == [
+            "error: filter 0 (center 15.0 Hz) has no support on the 512-point bin grid; "
+            "reduce n_mels"
+        ]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("out_dir", ["feats", "./feats"])
     def test_input_that_is_its_own_output_is_refused(self, tmp_path, capsys, monkeypatch,
                                                      out_dir):

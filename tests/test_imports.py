@@ -158,10 +158,10 @@ LIBRARY = ("import melgauge; os.mkdir('feats'); melgauge.write_mspec('feats/tone
            "melgauge.MelConfig(16000, 96)))")
 
 
-# The calls extract makes on glibc: one malloc arena, then fixed mmap and
-# trim thresholds, each as (param, value).
-ARENA, MMAP_THRESHOLD, TRIM_THRESHOLD = (-8, 1), (-3, 32 << 20), (-1, 64 << 20)
-MALLOC_CALLS = [ARENA, MMAP_THRESHOLD, TRIM_THRESHOLD]
+# The calls extract makes on glibc: fixed mmap and trim thresholds, each as
+# (param, value). It never caps the arenas, whatever the user set.
+MMAP_THRESHOLD, TRIM_THRESHOLD = (-3, 32 << 20), (-1, 64 << 20)
+MALLOC_CALLS = [MMAP_THRESHOLD, TRIM_THRESHOLD]
 # Every way a user sets malloc up before extract runs, kept out of the tests' processes.
 MALLOC_ENVIRONMENT = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
                       "GLIBC_TUNABLES")
@@ -183,18 +183,18 @@ def glibc_only(*args, **kwargs):
     "preset, prelude, run, expected",
     [
         glibc_only({}, "", EXTRACT, MALLOC_CALLS, id="glibc"),
-        glibc_only({"MALLOC_ARENA_MAX": "2"}, "", EXTRACT, [MMAP_THRESHOLD, TRIM_THRESHOLD],
-                   id="user-value-wins"),
-        glibc_only({"MALLOC_MMAP_THRESHOLD_": "1048576"}, "", EXTRACT, [ARENA, TRIM_THRESHOLD],
+        glibc_only({"MALLOC_ARENA_MAX": "2"}, "", EXTRACT, MALLOC_CALLS,
+                   id="arena-variable-set"),
+        glibc_only({"MALLOC_MMAP_THRESHOLD_": "1048576"}, "", EXTRACT, [TRIM_THRESHOLD],
                    id="mmap-threshold-variable-wins"),
-        glibc_only({"MALLOC_TRIM_THRESHOLD_": "1048576"}, "", EXTRACT, [ARENA, MMAP_THRESHOLD],
+        glibc_only({"MALLOC_TRIM_THRESHOLD_": "1048576"}, "", EXTRACT, [MMAP_THRESHOLD],
                    id="trim-threshold-variable-wins"),
         glibc_only({"GLIBC_TUNABLES": "glibc.malloc.arena_max=4"}, "", EXTRACT,
-                   [MMAP_THRESHOLD, TRIM_THRESHOLD], id="arena-tunable-wins"),
+                   MALLOC_CALLS, id="arena-tunable-set"),
         glibc_only({"GLIBC_TUNABLES": "glibc.malloc.check=0:glibc.malloc.mmap_threshold=1048576"},
-                   "", EXTRACT, [ARENA, TRIM_THRESHOLD], id="mmap-threshold-tunable-wins"),
+                   "", EXTRACT, [TRIM_THRESHOLD], id="mmap-threshold-tunable-wins"),
         glibc_only({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=1048576"}, "", EXTRACT,
-                   [ARENA, MMAP_THRESHOLD], id="trim-threshold-tunable-wins"),
+                   [MMAP_THRESHOLD], id="trim-threshold-tunable-wins"),
         pytest.param({"MALLOC_ARENA_MAX": "2", "MALLOC_MMAP_THRESHOLD_": "1048576",
                       "MALLOC_TRIM_THRESHOLD_": "1048576"}, "", EXTRACT, [],
                      id="every-variable-set"),
@@ -206,7 +206,7 @@ def glibc_only(*args, **kwargs):
         pytest.param({}, "", LIBRARY, [], id="library"),
     ],
 )
-def test_extract_asks_glibc_for_one_malloc_arena(preset, prelude, run, expected, tmp_path):
+def test_extract_asks_glibc_to_keep_malloc_pages(preset, prelude, run, expected, tmp_path):
     from melgauge import MelConfig, mel_spectrogram, read_wav_mono, write_mspec
 
     write_tone(tmp_path / "tone.wav", 16000)
@@ -240,7 +240,7 @@ ctypes.CDLL = lambda name, *args: libc if name is None else real_cdll(name, *arg
 
 
 @pytest.mark.skipif(not on_glibc(), reason="glibc only")
-def test_extract_arena_call_succeeds_with_ctypes_default_types(tmp_path):
+def test_extract_mallopt_calls_succeed_with_ctypes_default_types(tmp_path):
     write_tone(tmp_path / "tone.wav", 16000)
     code = f"{REAL_MALLOPT_RECORDER}\n{EXTRACT}\nprint(calls)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=malloc_env({}),
@@ -248,6 +248,39 @@ def test_extract_arena_call_succeeds_with_ctypes_default_types(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # glibc's mallopt returns 1 on success, 0 on error.
     assert proc.stdout.splitlines()[-1] == repr([(*call, 1) for call in MALLOC_CALLS])
+
+
+# Two workers whatever the host, so a batch's faults can grow only with its clips.
+TWO_CORE_EXTRACT = ("import os, sys, melgauge.cli; "
+                    "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+                    "sys.exit(melgauge.cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.skipif(not on_glibc(), reason="glibc only")
+def test_extract_faults_do_not_grow_with_the_batch(tmp_path):
+    import resource  # Unix only
+    # With glibc's dynamic thresholds each 29.1 s clip faults in about 2.4k
+    # fresh pages; the fixed thresholds keep the first clip's pages for the rest.
+    clip = np.random.default_rng(0).integers(-8000, 8000, 465_600).astype("<i2").tobytes()
+    paths = []
+    for index in range(12):
+        paths.append(tmp_path / f"clip{index:02d}.wav")
+        with wave.open(str(paths[-1]), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(clip)
+    faults = []
+    for batch in (paths[:4], paths):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_CORE_EXTRACT, "extract", "--sample-rate", "16000",
+             "--mels", "96", "--out-dir", str(tmp_path / "feats"), *map(str, batch)],
+            env=malloc_env({}), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    assert faults[1] < 1.3 * faults[0], faults
 
 
 # Records the thread that first imports numpy and how many threads are alive.
