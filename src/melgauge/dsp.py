@@ -39,13 +39,6 @@ RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 8.6
 RESAMPLE_CUTOFF = 0.9
 
-# resample_rational computes each phase this many outputs at a time: one
-# multiply of every tap by its inputs into a (taps x block) buffer, then one
-# reduce down the taps. On a 2-vCPU x86-64 host a 29.1 s 16 -> 12 kHz clip
-# took about 36 ms at 1024 or 2048, 22 ms at 4096, and no less at 8192,
-# which doubles the 2 MB buffer.
-RESAMPLE_BLOCK = 4096
-
 # stft_power windows, transforms and squares this many frames at a time in
 # block buffers it reuses, so it allocates under 1 MB beside its output
 # whatever the clip length.
@@ -188,14 +181,11 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     h, where delay centres the kernel. Only the taps h[r + t*p] with
     r = J mod p meet nonzero samples, so y[m] = sum_t h[r + t*p] *
     x[J div p - t]; the upsampled stream is never formed. Outputs m and
-    m + p share r and read x q samples apart, so each of the p phases runs
-    in blocks of RESAMPLE_BLOCK outputs, and each block is one multiply of
-    a (taps x outputs) strided view of x by the phase's tap column, with
-    rows in descending t (ascending x index), and one np.add.reduce down
-    the rows from +0.0. That adds each output's products in row order, the
-    order of a direct convolution, as long as the reduced array has two or
-    more columns: with one, numpy sums the column pairwise. So every block
-    reduces one spare column beside its outputs.
+    m + p share r and read x q samples apart, so each of the p phases is
+    one matmul of the phase's taps, in descending t, by a (taps x outputs)
+    strided view of x. The taps are a reversed view, which numpy cannot
+    hand to BLAS, so its own loop adds each output's products in tap
+    order from +0.0, the order of a direct convolution.
     """
     target_rate = positive_int("target_rate", target_rate)
     g = math.gcd(audio.sample_rate, target_rate)
@@ -214,7 +204,6 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     h = _resample_kernel(p, audio.sample_rate, target_rate)
     delay = (h.size - 1) // 2
     out_len = int(round(x.size * p / q))
-    out = np.empty(out_len)
     # Outputs in phase 0, the most of any phase; 1 when there are none, so
     # that the view below is still defined.
     longest = max(1, -(-out_len // p))
@@ -225,21 +214,13 @@ def resample_rational(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     tail = max(0, (delay + (longest * p - 1) * q) // p + 1 - x.size)
     padded = np.concatenate([np.zeros(lead), x, np.zeros(tail)])
     strided = sliding_window_view(padded, (longest - 1) * q + 1)[:, ::q]  # [s, k] = padded[s + k*q]
-    width = min(longest, RESAMPLE_BLOCK)
-    products = np.zeros((lead + 1, width + 1))  # the last column is the spare
-    sums = np.empty(width + 1)
+    out = np.empty(out_len)
     for m0 in range(min(p, out_len)):
         count = -(-(out_len - m0) // p)
         base, r = divmod(delay + m0 * q, p)
-        taps = h[r::p][::-1, np.newaxis]  # descending t
-        rows = strided[lead + base + 1 - taps.size : lead + base + 1]
-        phase_out = out[m0::p]
-        for first in range(0, count, RESAMPLE_BLOCK):
-            n = min(RESAMPLE_BLOCK, count - first)
-            block = products[: taps.size, : n + 1]
-            np.multiply(rows[:, first : first + n], taps, out=block[:, :n])
-            np.add.reduce(block, axis=0, initial=0.0, out=sums[: n + 1])
-            phase_out[first : first + n] = sums[:n]
+        taps = h[r::p][::-1]  # descending t
+        rows = strided[lead + base + 1 - taps.size : lead + base + 1, :count]
+        np.matmul(taps, rows, out=out[m0::p])
     out.flags.writeable = False
     return AudioBuffer(out, target_rate)
 
@@ -248,7 +229,8 @@ def read_wav_mono(path) -> AudioBuffer:
     """Read a mono 16-bit PCM WAV file, scaled to [-1, 1] by 1/32768.
 
     A data chunk of an odd number of bytes, or one holding fewer bytes
-    than its header declares, raises ValueError naming the counts.
+    than its header declares, raises ValueError naming the counts; any
+    other unreadable header raises ValueError naming the file.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -267,6 +249,8 @@ def read_wav_mono(path) -> AudioBuffer:
             raw = wav.readframes(declared + 1)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from exc
+    except RuntimeError as exc:  # wave seeking past the end of the RIFF chunk
+        raise ValueError(f"{path}: not a readable WAV file: a chunk overruns the RIFF chunk") from exc
     if len(raw) > 2 * declared:
         raise ValueError(
             f"{path}: WAV data chunk of {len(raw)} bytes is not a whole number of "

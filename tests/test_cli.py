@@ -413,6 +413,26 @@ class TestExtract:
         assert (out_dir / "tone.mspec").exists()
         assert not (out_dir / "bad.mspec").exists()
 
+    def test_wav_with_a_chunk_past_the_riff_chunk_among_good(self, tmp_path, capsys):
+        t = np.arange(12000) / 12000.0
+        first = write_wav(tmp_path / "first.wav", 0.5 * np.sin(2 * np.pi * 440.0 * t), 12000)
+        last = write_wav(tmp_path / "last.wav", 0.5 * np.sin(2 * np.pi * 880.0 * t), 12000)
+        data = bytearray(first.read_bytes())
+        struct.pack_into("<I", data, 16, 2**31)  # the fmt chunk's size
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(bytes(data))
+        out_dir = tmp_path / "feats"
+        code = main([
+            "extract", "--sample-rate", "12000", "--mels", "48",
+            "--out-dir", str(out_dir), str(first), str(bad), str(last),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: {bad}: not a readable WAV file: a chunk overruns the RIFF chunk",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["first.mspec", "last.mspec"]
+
     def test_truncated_inputs_are_error_lines(self, tone_wav, tmp_path, capsys):
         short = tmp_path / "short.wav"
         short.write_bytes(tone_wav.read_bytes()[:44 + 31001])

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import upfirdn
 
 from melgauge.dsp import (
-    RESAMPLE_BLOCK,
+    RESAMPLE_TAPS_PER_PHASE,
     STFT_BLOCK_FRAMES,
     AudioBuffer,
     _resample_kernel,
@@ -29,6 +29,10 @@ from melgauge.dsp import (
 from melgauge.exceptions import UnsupportedRatioError
 
 from conftest import sine
+
+# Outputs per phase in the long-phase cases below: the resampler once
+# computed each phase in blocks of this many, and those cases still span it.
+RESAMPLE_BLOCK = 4096
 
 
 # ---------------------------------------------------------------- window
@@ -527,6 +531,22 @@ def test_resample_threads_match_serial_bytes(rng):
         assert results == serial
 
 
+@pytest.mark.parametrize("rates", [(16000, 12000), (44100, 16000)], ids=["3-4", "160-441"])
+def test_resample_holds_one_padded_copy(rng, rates):
+    # beside its output, the resampler holds one copy of the clip padded with
+    # zeros (64 before it, fewer than 32 + 2q after) and under 1 MB more
+    q = rates[0] // math.gcd(*rates)
+    audio = AudioBuffer(rng.uniform(-1.0, 1.0, round(29.1 * rates[0])), rates[0])
+    tracemalloc.start()
+    try:
+        out = resample_rational(audio, rates[1]).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = 8 * (RESAMPLE_TAPS_PER_PHASE + audio.n_samples + RESAMPLE_TAPS_PER_PHASE // 2 + 2 * q)
+    assert peak - out.nbytes < padded + 1e6
+
+
 # ---------------------------------------------------------------- file io
 
 def _write_wav(path, samples_int16, rate, channels=1, width=2):
@@ -617,6 +637,19 @@ def test_wav_reader_reads_no_chunk_after_data(tmp_path):
     audio = read_wav_mono(path)
     assert audio.samples.size == 100
     assert np.array_equal(audio.samples * 32768.0, np.arange(100))
+
+
+def test_wav_reader_rejects_a_chunk_past_the_riff_chunk(tmp_path):
+    # a fmt chunk size of 2**31 sends wave's chunk seek past the RIFF chunk
+    path = tmp_path / "huge_fmt.wav"
+    _write_wav(path, np.arange(100, dtype="<i2"), 16000)
+    data = bytearray(path.read_bytes())
+    assert data[12:16] == b"fmt "
+    struct.pack_into("<I", data, 16, 2**31)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as err:
+        read_wav_mono(path)
+    assert str(err.value) == f"{path}: not a readable WAV file: a chunk overruns the RIFF chunk"
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3])
