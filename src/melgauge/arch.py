@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 
 from .config import (
-    REFERENCE_HOP, MelConfig, benchmark_frames, frame_count, mspec_size, positive_int,
+    ARCH_NAMES, REFERENCE_HOP, MelConfig, benchmark_frames, frame_count, mspec_size,
+    positive_int,
 )
 from .exceptions import ShapeUnderflowError, UnsupportedConfigError
 
@@ -53,8 +54,6 @@ __all__ = [
     "filter_extent",
     "grid_cost_sweep",
 ]
-
-ARCH_NAMES = ("vgg-cnn", "musicnn-frontend")
 
 VGG_CHANNELS = (128, 384, 768, 2048)
 

@@ -15,9 +15,12 @@ JSON keeps every float's full repr.
 Selectors default to the benchmark grid; off-grid values are honored
 with a `warning: ...` line on stderr unless --grid-strict is given.
 
-cost, report, grid and adapt need only the configuration layer, the cost
-models and the reference table, none of which imports numpy. extract
-and evaluate import the signal chain and the metrics when they run.
+Each command imports only the layers it runs, when it runs. The parser
+needs only the configuration layer. cost and report load the cost
+models, report also the reference table, and adapt the pooling plans;
+none of them imports numpy. extract loads the signal chain and evaluate
+the metrics, and neither loads the cost models or the reference table.
+json and csv load only for the output format that uses them.
 
 extract hands its inputs to a ThreadPoolExecutor of min(inputs, usable
 cores) worker threads, one input each at a time, and prints each input's
@@ -33,17 +36,15 @@ GLIBC_TUNABLES setting of the user's wins.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import io
-import json
 import os
 import sys
 import warnings
 from pathlib import Path
 
-from .arch import ARCH_NAMES, grid_cost_sweep, vgg_pooling_plan
 from .config import (
+    ARCH_NAMES,
     COMPRESSIONS,
     GRID_MELS,
     GRID_SAMPLE_RATES,
@@ -59,15 +60,19 @@ from .exceptions import (
     OutputPathError,
     UnsupportedConfigError,
 )
-from .reference import SOURCE_LABEL, published_for_config
 
 __all__ = ["main"]
 
-# Signal-chain and metrics names this module offers as attributes, and the
-# submodule each comes from. They load numpy, so they are imported on first
-# use (PEP 562) and the report commands never import them.
+# Names this module offers as attributes, and the submodule each comes
+# from. Each is imported on first use (PEP 562), so a command loads only
+# the layers it runs: the signal chain and metrics load numpy, and the cost
+# models and reference table are of no use to extract or evaluate. The
+# commands look them up as this module's attributes, as a caller may
+# rebind them.
 _LAZY = {"mel_spectrogram": "mel", "write_mspec": "mel",
-         "load_tag_table": "metrics", "macro_summary": "metrics"}
+         "load_tag_table": "metrics", "macro_summary": "metrics",
+         "grid_cost_sweep": "arch", "vgg_pooling_plan": "arch",
+         "published_for_config": "reference", "SOURCE_LABEL": "reference"}
 
 
 def __getattr__(name):
@@ -98,6 +103,12 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_json(data, out_path: str | None) -> None:
+    import json  # only the JSON output loads it
+
+    _write_out(json.dumps(data, indent=2) + "\n", out_path)
+
+
 def _emit(rows: list[dict], columns, args) -> None:
     """Write rows as CSV (fixed columns, None as an empty cell) or JSON.
 
@@ -111,15 +122,16 @@ def _emit(rows: list[dict], columns, args) -> None:
             for key, value in row.items():
                 out[key] = float(_fmt(value)) if isinstance(value, float) else value
             cleaned.append(out)
-        text = json.dumps(cleaned, indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(column)) for column in columns])
-        text = buffer.getvalue()
-    _write_out(text, args.out)
+        _write_json(cleaned, args.out)
+        return
+    import csv  # only the CSV output loads it
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_cell(row.get(column)) for column in columns])
+    _write_out(buffer.getvalue(), args.out)
 
 
 # ------------------------------------------------------------- selection
@@ -175,6 +187,7 @@ def _config_row(config: MelConfig) -> dict:
 
 def _cost_rows(arch: str, configs: list[MelConfig]) -> list[dict]:
     """One row per config, in config order; ratios are to (96 mels, x1)."""
+    grid_cost_sweep = sys.modules[__name__].grid_cost_sweep
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         references = [
@@ -236,6 +249,8 @@ _REPORT_COLUMNS = _REPORT_COST_KEYS + (
 def cmd_report(args) -> int:
     configs = _select_configs(args)
     cost_rows = _cost_rows(args.arch, configs)
+    cli = sys.modules[__name__]
+    published_for_config, source_label = cli.published_for_config, cli.SOURCE_LABEL
     rows = []
     for config, cost in zip(configs, cost_rows):
         # Every report row carries "error", None included, so it sits
@@ -250,7 +265,7 @@ def cmd_report(args) -> int:
             row["dataset"] = result.dataset
             row["published_roc"] = result.roc_auc
             row["published_pr"] = result.pr_auc
-            row["published_source"] = SOURCE_LABEL
+            row["published_source"] = source_label
             rows.append(row)
     _emit(rows, _REPORT_COLUMNS, args)
     return 0 if all("error" not in cost for cost in cost_rows) else 1
@@ -277,6 +292,7 @@ def cmd_grid(args) -> int:
 # ----------------------------------------------------------------- adapt
 
 def cmd_adapt(args) -> int:
+    vgg_pooling_plan = sys.modules[__name__].vgg_pooling_plan
     try:
         plan = vgg_pooling_plan(args.mels, args.hop_mult, args.sample_rate)
     except UnsupportedConfigError as exc:
@@ -290,7 +306,7 @@ def cmd_adapt(args) -> int:
             "freq_pools": list(plan.freq_pools),
             "time_pools": list(plan.time_pools),
         }
-        _write_out(json.dumps(data, indent=2) + "\n", args.out)
+        _write_json(data, args.out)
     else:
         time_text = ",".join(str(p) for p in plan.time_pools)
         freq_text = ",".join(str(p) for p in plan.freq_pools)
@@ -301,7 +317,6 @@ def cmd_adapt(args) -> int:
 # -------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
-    # Looked up as this module's attributes, as a caller may rebind them.
     cli = sys.modules[__name__]
     try:
         table = cli.load_tag_table(args.predictions, args.labels)
@@ -321,7 +336,7 @@ def cmd_evaluate(args) -> int:
             },
             "skipped_tags": list(summary.skipped_tags),
         }
-        _write_out(json.dumps(data, indent=2) + "\n", args.out)
+        _write_json(data, args.out)
         return 0
     # One row per tag, skipped tags with empty metric cells, macro last.
     rows = [

@@ -20,6 +20,9 @@ REFERENCE_HOP = 256
 
 COMPRESSIONS = ("log", "dB")
 
+# The architectures arch models; here so the CLI parser needs no cost model.
+ARCH_NAMES = ("vgg-cnn", "musicnn-frontend")
+
 GRID_SAMPLE_RATES = (12000, 16000)
 GRID_FULL_HOP_MELS = (128, 96, 48)  # all hop multipliers allowed
 GRID_BASE_HOP_MELS = (32, 24, 16, 8)  # base hop only

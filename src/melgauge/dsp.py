@@ -279,6 +279,8 @@ def read_raw_float32(path, sample_rate: int) -> AudioBuffer:
             f"{path}: {len(raw)} bytes is not a whole number of float32 samples "
             f"({len(raw) // 4} samples and {len(raw) % 4} bytes over)"
         )
-    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    # A signalling NaN warns as it converts; AudioBuffer then refuses it.
+    with np.errstate(invalid="ignore"):
+        samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     samples.flags.writeable = False
     return AudioBuffer(samples, sample_rate)

@@ -563,6 +563,17 @@ class TestExtract:
         assert error.startswith(f"error: {bad}: ")
         assert sorted(p.name for p in out_dir.iterdir()) == [f"clip{i}.mspec" for i in range(4)]
 
+    def test_signalling_nan_in_raw_input_is_one_error_line(self, tmp_path, capsys):
+        # A NaN with the quiet bit clear warns as numpy converts float32 samples.
+        raw = tmp_path / "x.raw"
+        raw.write_bytes(struct.pack("<4I", 0, 0x7F800001, 0, 0) * 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # shown however often it was seen before
+            code = main(["extract", "--sample-rate", "16000", "--mels", "96",
+                         "--out-dir", str(tmp_path / "feats"), str(raw)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {raw}: samples must be finite\n"
+
     def test_missing_input_names_the_path_once(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.wav")
         code = main(["extract", "--sample-rate", "12000", "--mels", "48",

@@ -673,6 +673,42 @@ def test_raw_float32_reader(tmp_path, rng):
     assert audio.samples == pytest.approx(values.astype(np.float64), abs=0.0)
 
 
+# float32 bit patterns at the edges: signalling and quiet NaNs of both signs,
+# the infinities, the smallest subnormal and the largest finite value.
+FLOAT32_EDGES = (0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x7FC00000, 0xFFC00000,
+                 0x7F800000, 0xFF800000, 0x00000001, 0x7F7FFFFF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(FLOAT32_EDGES)),
+                   max_size=64),
+    tail=st.binary(max_size=3),
+)
+@example(words=[0, 0x7F800001, 0, 0] * 300, tail=b"")
+def test_raw_float32_reader_gives_a_buffer_or_a_value_error(tmp_path_factory, words, tail):
+    # Any byte string is whole little-endian words plus a tail of up to 3 bytes.
+    path = tmp_path_factory.mktemp("raw") / "x.raw"
+    path.write_bytes(struct.pack(f"<{len(words)}I", *words) + tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is neither a buffer nor a refusal
+        try:
+            audio = read_raw_float32(path, 16000)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            message = None
+    if tail:
+        assert message.endswith(f"and {len(tail)} bytes over)")
+    elif any(word >> 23 & 0xFF == 0xFF for word in words):  # a NaN or an infinity
+        assert message == "samples must be finite"
+    else:
+        assert message is None
+        assert audio.samples.tolist() == [
+            struct.unpack("<f", struct.pack("<I", word))[0] for word in words
+        ]
+
+
 def test_audio_buffer_samples_are_read_only():
     audio = AudioBuffer(np.zeros(8), 12000)
     with pytest.raises(ValueError, match="read-only"):

@@ -3,9 +3,11 @@
 scipy is needed only by `t_test_independent`, which imports it when
 called, and numpy only by the signal chain, metrics and dataset: the
 package resolves its exports on first use, so `import melgauge` and the
-report commands load neither. Each import check runs a fresh interpreter
-with `-X importtime`, which lists every module the process imported on
-stderr.
+report commands load neither. cli loads the cost models, the reference
+table, json and csv only in the commands and output formats that use
+them. Each import check runs a fresh interpreter that lists its
+`sys.modules` on exit, so modules loaded through
+`importlib.import_module` count too.
 """
 
 import ast
@@ -25,18 +27,34 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 
+# Runs a statement, then writes the names in sys.modules to modules.txt,
+# also when the statement exits or raises.
+LIST_MODULES = """\
+import sys
+try:
+    {}
+finally:
+    with open("modules.txt", "w", encoding="utf-8") as fh:
+        fh.write("\\n".join(sys.modules))
+"""
+RUN_CLI = 'import runpy; runpy.run_module("melgauge", run_name="__main__")'
+
+
 def imported_modules(args, cwd):
+    """The modules a fresh interpreter holds after it runs args.
+
+    args is ["-c", statement] or ["-m", "melgauge", *cli_args]; the CLI
+    runs as `python -m melgauge` would run it.
+    """
+    flag, target, *rest = args
+    statement = target if flag == "-c" else RUN_CLI
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+        [sys.executable, "-c", LIST_MODULES.format(statement), *rest], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return [
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:") and "|" in line
-    ]
+    return (Path(cwd) / "modules.txt").read_text(encoding="utf-8").splitlines()
 
 
 def write_tone(path, sample_rate):
@@ -97,6 +115,38 @@ def test_signal_and_metric_commands_do_load_numpy(command, tmp_path):
     # does show numpy where it is imported.
     write_tone(tmp_path / "tone.wav", 16000)
     assert "numpy" in imported_modules(command, tmp_path)
+
+
+# (command, modules it loads, modules it must not load): each command loads
+# the layers and the output format it runs, and no other.
+LOAD_SETS = {
+    "extract": (["-m", "melgauge", "extract", "--sample-rate", "12000", "--mels", "96",
+                 "--out-dir", "feats", "tone.wav"],
+                ("melgauge.dsp", "melgauge.mel"),
+                ("melgauge.arch", "melgauge.reference", "json", "csv")),
+    "evaluate": (["-m", "melgauge", "evaluate", str(GOLDEN / "pred.csv"),
+                  str(GOLDEN / "labels.csv")],
+                 ("melgauge.metrics", "json"),
+                 ("melgauge.arch", "melgauge.reference")),
+    "cost-csv": (["-m", "melgauge", "cost", "--mels", "96"],
+                 ("melgauge.arch", "csv"),
+                 ("melgauge.reference", "json")),
+    "report-json": (["-m", "melgauge", "report", "--format", "json"],
+                    ("melgauge.arch", "melgauge.reference", "json"),
+                    ("csv",)),
+    "adapt": (REPORT_COMMANDS["adapt"], ("melgauge.arch",),
+              ("melgauge.reference", "json", "csv")),
+}
+
+
+@pytest.mark.parametrize("command, loaded, absent", LOAD_SETS.values(), ids=LOAD_SETS.keys())
+def test_each_command_loads_only_the_layers_it_runs(command, loaded, absent, tmp_path):
+    # cli loads metrics and the cost models through importlib.import_module,
+    # so `loaded` also checks that the listing shows such modules.
+    write_tone(tmp_path / "tone.wav", 16000)
+    modules = imported_modules(command, tmp_path)
+    assert [m for m in loaded if m not in modules] == []
+    assert [m for m in absent if m in modules] == []
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -360,13 +410,17 @@ def test_dir_lists_every_export_and_unknown_names_raise():
 
 
 def test_cli_still_offers_signal_chain_and_metric_names():
-    from melgauge import mel, metrics
+    from melgauge import arch, mel, metrics, reference
 
     cli = melgauge.cli
     assert cli.mel_spectrogram is mel.mel_spectrogram
     assert cli.write_mspec is mel.write_mspec
     assert cli.load_tag_table is metrics.load_tag_table
     assert cli.macro_summary is metrics.macro_summary
+    assert cli.grid_cost_sweep is arch.grid_cost_sweep
+    assert cli.vgg_pooling_plan is arch.vgg_pooling_plan
+    assert cli.published_for_config is reference.published_for_config
+    assert cli.SOURCE_LABEL is reference.SOURCE_LABEL
     with pytest.raises(AttributeError):
         cli.no_such_name
 
@@ -392,6 +446,16 @@ def test_config_layer_defines_each_moved_name_once():
         defined = [m for m, text in sources.items()
                    if f"def {name}(" in text or f"class {name}" in text]
         assert defined == ["config"], name
+
+
+def test_arch_names_are_defined_only_in_config():
+    # The CLI parser reads them from config, so building it loads no cost model.
+    defined = []
+    for path in sorted((ROOT / "src" / "melgauge").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [path.stem for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if getattr(target, "id", None) == "ARCH_NAMES"]
+    assert defined == ["config"]
 
 
 def test_every_import_in_the_package_is_read_or_exported():
