@@ -18,8 +18,8 @@ _EXPORTS = {
     for module, names in {
         "exceptions": (
             "DegenerateFilterbankError", "DegenerateVarianceError", "EmptySummaryError",
-            "GridWarning", "ManifestParseError", "MelGaugeError", "MspecFormatError",
-            "OutputPathError", "SchemaError", "ShapeUnderflowError", "UndefinedMetricError",
+            "ManifestParseError", "MelGaugeError", "MspecFormatError", "OutputPathError",
+            "SchemaError", "ShapeUnderflowError", "UndefinedMetricError",
             "UnsupportedConfigError", "UnsupportedLayoutError", "UnsupportedRatioError",
         ),
         "config": (

@@ -13,7 +13,9 @@ n_mels descending, hop ascending, compression). Floats in cost, report,
 grid and evaluate's CSV are formatted at 6 significant digits; evaluate's
 JSON keeps every float's full repr.
 Selectors default to the benchmark grid; off-grid values are honored
-with a `warning: ...` line on stderr unless --grid-strict is given.
+with one `warning: ...` line on stderr per off-grid (rate, mels, hop)
+cell unless --grid-strict is given, and extract warns the same way for
+its one config.
 
 Each command imports only the layers it runs, when it runs. The parser
 needs only the configuration layer. cost and report load the cost
@@ -40,7 +42,6 @@ import importlib
 import io
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from .config import (
@@ -54,12 +55,7 @@ from .config import (
     is_grid_config,
     positive_int,
 )
-from .exceptions import (
-    GridWarning,
-    MelGaugeError,
-    OutputPathError,
-    UnsupportedConfigError,
-)
+from .exceptions import MelGaugeError, OutputPathError, UnsupportedConfigError
 
 __all__ = ["main"]
 
@@ -136,15 +132,26 @@ def _emit(rows: list[dict], columns, args) -> None:
 
 # ------------------------------------------------------------- selection
 
+def _warn_off_grid(config: MelConfig) -> None:
+    """Print the `warning: ...` line that names an off-grid config on stderr."""
+    print(
+        f"warning: config ({config.sample_rate} Hz, {config.n_mels} mels, "
+        f"x{config.hop_multiplier}, frame {config.frame_size}, "
+        f"{config.fmin:g}-{config.fmax:g} Hz) is outside the benchmark grid",
+        file=sys.stderr,
+    )
+
+
 def _select_configs(args) -> list[MelConfig]:
     """Expand selector flags into deduplicated configurations in report order.
 
     Defaults reproduce the benchmark grid (grid_hops per mel count, which
     gives off-grid mel counts the base hop). Explicit flag values are
-    honored verbatim, which can leave the grid; each off-grid config warns
-    on construction, and with --grid-strict the first off-grid cell is an
-    error before any config is built. Repeated values count once. Report
-    order is sample rate, mel count descending, hop, compression.
+    honored verbatim, which can leave the grid; each off-grid (rate, mels,
+    hop) cell warns once, and with --grid-strict the first off-grid cell
+    is an error instead, before anything is printed. Repeated values count
+    once. Report order is sample rate, mel count descending, hop,
+    compression.
     """
     rates = args.sample_rate or GRID_SAMPLE_RATES
     mels = args.mels or GRID_MELS
@@ -154,15 +161,14 @@ def _select_configs(args) -> list[MelConfig]:
         for mel_count in sorted(set(mels), reverse=True):
             hops = sorted(set(args.hop_mult)) if args.hop_mult else grid_hops(mel_count)
             for hop in hops:
-                for comp in comps:
-                    if args.grid_strict and not is_grid_config(rate, mel_count, hop):
+                cells = [MelConfig(rate, mel_count, hop, comp) for comp in comps]
+                if not is_grid_config(rate, mel_count, hop):
+                    if args.grid_strict:
                         raise UnsupportedConfigError(
-                            f"--grid-strict: {rate}Hz-{mel_count}mel-x{hop}-{comp} "
-                            "is outside the benchmark grid"
+                            f"--grid-strict: {cells[0].config_id} is outside the benchmark grid"
                         )
-                    configs.append(
-                        MelConfig(rate, mel_count, hop_multiplier=hop, compression=comp)
-                    )
+                    _warn_off_grid(cells[0])
+                configs += cells
     # Compressions were taken in flag order, so the strict check names the
     # first offender as the command line gives it; sort only afterwards.
     configs.sort(key=lambda c: (c.sample_rate, -c.n_mels, c.hop_multiplier, c.compression))
@@ -188,12 +194,10 @@ def _config_row(config: MelConfig) -> dict:
 def _cost_rows(arch: str, configs: list[MelConfig]) -> list[dict]:
     """One row per config, in config order; ratios are to (96 mels, x1)."""
     grid_cost_sweep = sys.modules[__name__].grid_cost_sweep
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        references = [
-            MelConfig(rate, 96, hop_multiplier=1)
-            for rate in dict.fromkeys(config.sample_rate for config in configs)
-        ]
+    references = [
+        MelConfig(rate, 96, hop_multiplier=1)
+        for rate in dict.fromkeys(config.sample_rate for config in configs)
+    ]
     baselines = {
         entry.config.sample_rate: entry.report
         for entry in grid_cost_sweep(arch, references)
@@ -433,6 +437,8 @@ def cmd_extract(args) -> int:
         hop_multiplier=args.hop_mult,
         compression=args.compression,
     )
+    if not is_grid_config(config.sample_rate, config.n_mels, config.hop_multiplier):
+        _warn_off_grid(config)
     out_dir = Path(args.out_dir)
     out_paths = _output_paths(args.inputs, out_dir)
     # BLAS reads these once, when numpy loads; a value already set wins.
@@ -579,22 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    """Print a GridWarning as a `warning: ...` line; others as Python does."""
-    if issubclass(category, GridWarning):
-        text = f"warning: {message}\n"
-    else:
-        text = warnings.formatwarning(message, category, filename, lineno, line)
-    (file or sys.stderr).write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            return args.func(args)
-        except MelGaugeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2 if isinstance(exc, UnsupportedConfigError) else 1
+    try:
+        return args.func(args)
+    except MelGaugeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UnsupportedConfigError) else 1

@@ -2,18 +2,17 @@
 
 MelConfig, the grid cells, the benchmark segment's frame counts and the
 .mspec container size are plain arithmetic, so this module imports no
-numpy. The cost and report side (arch, reference, the report commands)
-builds on it alone; the signal chain (dsp, mel) imports what it uses.
+numpy. Whether a cell is on the grid is a query, is_grid_config;
+building a MelConfig off the grid is silent. The cost and report side
+(arch, reference, the report commands) builds on it alone; the signal
+chain (dsp, mel) imports what it uses.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-import warnings
 from dataclasses import dataclass
-
-from .exceptions import GridWarning
 
 # All hops are multiples of this base hop (samples).
 REFERENCE_HOP = 256
@@ -71,8 +70,8 @@ class MelConfig:
 
     Every configuration analyses 512-sample frames with filters from 0 Hz
     to Nyquist (frame_size, fmin and fmax are constants, not fields).
-    Configurations outside the benchmark grid are allowed but emit
-    GridWarning; the CLI can escalate that to an error.
+    Configurations outside the benchmark grid build the same way;
+    is_grid_config tells them apart, and the CLI warns or refuses.
     """
 
     sample_rate: int
@@ -89,15 +88,6 @@ class MelConfig:
         if self.compression not in COMPRESSIONS:
             raise ValueError(
                 f"compression must be one of {COMPRESSIONS}, got {self.compression!r}"
-            )
-        if not is_grid_config(self.sample_rate, self.n_mels, self.hop_multiplier):
-            # Level 3 skips the generated __init__ and names the caller.
-            warnings.warn(
-                f"config ({self.sample_rate} Hz, {self.n_mels} mels, "
-                f"x{self.hop_multiplier}, frame {self.frame_size}, "
-                f"{self.fmin:g}-{self.fmax:g} Hz) is outside the benchmark grid",
-                GridWarning,
-                stacklevel=3,
             )
 
     @property

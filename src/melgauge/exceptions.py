@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class MelGaugeError(Exception):
@@ -51,7 +51,3 @@ class MspecFormatError(MelGaugeError):
 
 class OutputPathError(MelGaugeError):
     """An output file cannot be written, or two inputs would write the same one."""
-
-
-class GridWarning(UserWarning):
-    """Configuration is constructible but outside the benchmark grid."""

@@ -16,10 +16,10 @@ values. See write_mspec / read_mspec.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import threading
-import warnings
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +37,7 @@ from .config import (
     mspec_size,
 )
 from .dsp import AudioBuffer, PowerSpectrogram, stft_power
-from .exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
+from .exceptions import DegenerateFilterbankError, MspecFormatError
 
 __all__ = [
     "DB_FLOOR_EPS",
@@ -113,7 +113,17 @@ def mel_filterbank(config: MelConfig) -> MelFilterbank:
     area-normalized by 2 / (f_right - f_left), so filter peaks shrink as
     bandwidth grows. A filter with no nonzero bin weight (bin grid too
     coarse for the requested resolution) raises DegenerateFilterbankError.
+
+    A bank depends on the sample rate and mel count alone: each is built
+    on first use, held for the life of the process and shared by every
+    caller, so its arrays are read-only.
     """
+    return _filterbank(config.sample_rate, config.n_mels)
+
+
+@functools.cache  # two threads may both build one bank; either result is the same
+def _filterbank(sample_rate: int, n_mels: int) -> MelFilterbank:
+    config = MelConfig(sample_rate, n_mels)
     mel_points = np.linspace(
         hz_to_mel_slaney(config.fmin), hz_to_mel_slaney(config.fmax), config.n_mels + 2
     )
@@ -135,7 +145,10 @@ def mel_filterbank(config: MelConfig) -> MelFilterbank:
             f"filter {first} (center {float(hz_points[first + 1]):.1f} Hz) has no "
             f"support on the {config.frame_size}-point bin grid; reduce n_mels"
         )
-    return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1].copy())
+    center_freqs = hz_points[1:-1].copy()
+    weights.flags.writeable = False
+    center_freqs.flags.writeable = False
+    return MelFilterbank(weights=weights, center_freqs=center_freqs)
 
 
 def compress_db(power, out=None):
@@ -162,22 +175,6 @@ def compress_log(power, out=None):
     out = np.multiply(x, LOG_COMPRESSION_GAIN, out=np.empty(x.shape) if out is None else out)
     np.log1p(out, out=out)
     return float(out) if np.isscalar(power) else out
-
-
-# Filterbanks built so far, keyed on (sample rate, mel count).
-_filterbanks: dict[tuple[int, int], MelFilterbank] = {}
-
-
-def _cached_filterbank(config: MelConfig) -> MelFilterbank:
-    """mel_filterbank(config), built once per process and held read-only."""
-    key = (config.sample_rate, config.n_mels)
-    fb = _filterbanks.get(key)
-    if fb is None:  # two threads may both build it; either result is the same
-        fb = mel_filterbank(config)
-        fb.weights.flags.writeable = False
-        fb.center_freqs.flags.writeable = False
-        _filterbanks[key] = fb
-    return fb
 
 
 # The last spectrum computed, keyed by its AudioBuffer while that lives.
@@ -228,15 +225,15 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
 
     Repeated calls on one buffer share work: the spectrum of the latest
     buffer is held while that buffer lives and sliced for any hop that is
-    a multiple of its own, and each filterbank is built once per process.
-    The output is the same as computing both afresh.
+    a multiple of its own, and each filterbank is built once per process
+    (mel_filterbank). The output is the same as computing both afresh.
     """
     if audio.sample_rate != config.sample_rate:
         raise ValueError(
             f"audio rate {audio.sample_rate} != config rate {config.sample_rate}; "
             "resample before extraction"
         )
-    fb = _cached_filterbank(config)
+    fb = _filterbank(config.sample_rate, config.n_mels)
     power = fb.weights @ _power_bins(audio, config.hop)
     compress = compress_db if config.compression == "dB" else compress_log
     # the product is a fresh array, so it is compressed over itself
@@ -338,18 +335,15 @@ def read_mspec(path) -> MelSpectrogram:
             )
         if n_frames == 0:
             raise MspecFormatError(f"{path}: header has no frames")
-        with warnings.catch_warnings():
-            # A stored file is data, not a user's config choice.
-            warnings.simplefilter("ignore", GridWarning)
-            try:
-                config = MelConfig(
-                    sample_rate=sample_rate,
-                    n_mels=n_mels,
-                    hop_multiplier=hop_samples // REFERENCE_HOP,
-                    compression=_COMPRESSION_NAMES[compression_code],
-                )
-            except ValueError as exc:
-                raise MspecFormatError(f"{path}: bad header: {exc}") from None
+        try:
+            config = MelConfig(
+                sample_rate=sample_rate,
+                n_mels=n_mels,
+                hop_multiplier=hop_samples // REFERENCE_HOP,
+                compression=_COMPRESSION_NAMES[compression_code],
+            )
+        except ValueError as exc:
+            raise MspecFormatError(f"{path}: bad header: {exc}") from None
         expected = mspec_size(n_mels, n_frames)
         actual = os.fstat(fh.fileno()).st_size
         if actual < expected:

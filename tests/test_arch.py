@@ -1,12 +1,10 @@
 """Architecture shape propagation, MAC counting, and sweeps."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
 
-from melgauge import GridWarning
 from melgauge.arch import (
     FREQ_POOLS,
     TIME_POOLS,
@@ -414,9 +412,7 @@ class TestGridCostSweep:
         assert all(e.report is not None for e in entries)
 
     def test_inline_error_keeps_order(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridWarning)
-            configs = [MelConfig(12000, 96), MelConfig(12000, 64), MelConfig(12000, 48)]
+        configs = [MelConfig(12000, 96), MelConfig(12000, 64), MelConfig(12000, 48)]
         entries = grid_cost_sweep("vgg-cnn", configs)
         assert [e.config.n_mels for e in entries] == [96, 64, 48]
         assert entries[0].report is not None
@@ -432,8 +428,6 @@ class TestGridCostSweep:
         # at x100 the 3-second segment is 2 frames wide, too narrow for the
         # width-3 timbre filters; the row must carry the error instead of
         # aborting the sweep
-        with pytest.warns(GridWarning):
-            config = MelConfig(12000, 96, 100)
-        [entry] = grid_cost_sweep("musicnn-frontend", [config])
+        [entry] = grid_cost_sweep("musicnn-frontend", [MelConfig(12000, 96, 100)])
         assert entry.report is None
         assert entry.error == "front_38x3: valid 38x3 filter does not fit a 96x2 input"

@@ -8,6 +8,7 @@ hops on one buffer, one container write, one resample and the manifest
 chain (parse, top-k tags, split), and checks the spans and the restore.
 """
 
+import functools
 import importlib
 from pathlib import Path
 
@@ -69,3 +70,37 @@ def test_tracer_wraps_the_signal_chain_and_restores_it(rng, monkeypatch, tmp_pat
     assert split.sizes == (1, 1, 1)
     for module, attr, fn in held:
         assert getattr(module, attr) is fn, (module.__name__, attr)
+
+
+def test_traced_extract_asks_for_its_filterbank_once(rng, monkeypatch, tmp_path):
+    # perfbench's mel.mel_filterbank.calls_per_distinct counts these spans:
+    # extract asks for its bank once, to refuse a degenerate one before any
+    # write, and mel_spectrogram reads the same cache without that call.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    from melgauge import cli
+
+    lazy = [attr for module, attr, _ in tracer.WRAPPED
+            if module == "melgauge.cli" and attr not in vars(cli)]
+    # an empty cache, as in a fresh extract process
+    monkeypatch.setattr(mel, "_filterbank", functools.cache(mel._filterbank.__wrapped__))
+    clips = []
+    for name in ("a", "b"):
+        clips.append(str(tmp_path / f"{name}.f32"))
+        (0.3 * rng.standard_normal(16000)).astype("<f4").tofile(clips[-1])
+
+    recorder = tracer.Tracer()
+    restore = recorder.install()
+    try:
+        code = cli.main(["extract", "--sample-rate", "16000", "--mels", "96",
+                         "--out-dir", str(tmp_path / "feats"), *clips])
+    finally:
+        restore()
+        for attr in lazy:
+            vars(cli).pop(attr, None)
+    assert code == 0
+    names = [span[0] for span in recorder.spans]
+    assert names.count("mel.mel_spectrogram") == 2
+    assert [span[4] for span in recorder.spans if span[0] == "mel.mel_filterbank"] == [
+        {"key": "16000/96/512/0.0/8000.0"}
+    ]

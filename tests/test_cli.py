@@ -132,7 +132,6 @@ class TestCost:
         assert row["total_macs"] == 6_637_170_688
         assert row["gmacs_ratio"] == pytest.approx(0.498, abs=0.002)
 
-    @pytest.mark.filterwarnings("ignore::melgauge.exceptions.GridWarning")
     def test_off_grid_vgg_rows_error_inline(self, capsys):
         code = main(["cost", "--mels", "64", "--compression", "dB"])
         captured = capsys.readouterr()
@@ -155,7 +154,7 @@ class TestCost:
         code = main(["cost", "--mels", "64", "--grid-strict"])
         captured = capsys.readouterr()
         assert code == 2
-        # the cell is checked before its config is built, so no warning
+        # the strict check comes before the cell's warning, so no warning
         assert captured.err == (
             "error: --grid-strict: 12000Hz-64mel-x1-log is outside the benchmark grid\n"
         )
@@ -503,6 +502,24 @@ class TestExtract:
         # one second of audio at the analysis rate
         assert mel.values.shape == (96, 1 + 12000 // 256)
 
+    def test_off_grid_config_warns_once_for_the_batch(self, tmp_path, capsys):
+        t = np.arange(16000) / 16000.0
+        sources = [str(write_wav(tmp_path / f"{name}.wav",
+                                 0.4 * np.sin(2 * np.pi * 440.0 * t), 16000)) for name in "ab"]
+        out_dir = tmp_path / "feats"
+        code = main([
+            "extract", "--sample-rate", "22050", "--mels", "64",
+            "--out-dir", str(out_dir), *sources,
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == (
+            "warning: config (22050 Hz, 64 mels, x1, frame 512, 0-11025 Hz) "
+            "is outside the benchmark grid\n"
+        )
+        written = [line.split(" ")[1] for line in captured.out.splitlines()]
+        assert written == [str(out_dir / "a.mspec"), str(out_dir / "b.mspec")]
+
     @pytest.mark.parametrize("input_rate", [22050, None])
     def test_raw_input_is_read_at_input_rate(self, input_rate, tmp_path, capsys):
         from melgauge import dsp, mel
@@ -807,22 +824,28 @@ def test_non_positive_selector_is_a_usage_error(command, flag, value, tmp_path, 
 # -------------------------------------------------------------- warnings
 
 
-def test_other_warnings_keep_pythons_format(monkeypatch, capsys):
-    # main turns only a GridWarning into a `warning: ...` line; any other
-    # warning a command raises is printed the way Python prints it.
+def test_main_leaves_warning_state_alone(monkeypatch, capsys):
+    # The commands print their own `warning: ...` lines, so main neither
+    # filters nor formats Python warnings: a command runs under the
+    # caller's warning state, and main hands it back unchanged.
     import melgauge.cli as cli
 
+    outside = (list(warnings.filters), warnings.showwarning)
+    seen = []
+
     def cmd_grid(args):
-        warnings.warn("overflow in a stand-in command", RuntimeWarning)
+        seen.append((list(warnings.filters), warnings.showwarning))
         return 0
 
+    assert main(["cost", "--mels", "7", "--hop-mult", "2"]) == 1
     monkeypatch.setattr(cli, "cmd_grid", cmd_grid)
-    assert main(["grid"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == warnings.formatwarning(
-        "overflow in a stand-in command", RuntimeWarning, __file__,
-        cmd_grid.__code__.co_firstlineno + 1,
+    assert main(["grid", "--mels", "7"]) == 0
+    assert seen == [outside]
+    assert (list(warnings.filters), warnings.showwarning) == outside
+    assert capsys.readouterr().err == "".join(
+        f"warning: config ({rate} Hz, 7 mels, x2, frame 512, 0-{rate // 2} Hz) "
+        "is outside the benchmark grid\n"
+        for rate in (12000, 16000)
     )
 
 

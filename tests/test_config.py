@@ -61,7 +61,6 @@ def test_entry_points_refuse_what_is_not_a_positive_integer(entry, value):
         ENTRY_POINTS[entry](value)
 
 
-@pytest.mark.filterwarnings("ignore::melgauge.exceptions.GridWarning")
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_points_accept_numpy_integers(entry):
     ENTRY_POINTS[entry](np.int64(2))

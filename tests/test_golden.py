@@ -2,8 +2,7 @@
 
 Each case in CASES has a file tests/golden/<case>.txt holding the command,
 its exit code, its stderr and its stdout, byte for byte. All cases run in
-one child interpreter, each under fresh warning state, so a warning shows
-once per case as it would in its own `melgauge` process.
+one child interpreter, one main() call each.
 
 Rewrite the files (after a deliberate output change) with:
 
@@ -16,7 +15,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -74,17 +72,14 @@ def run_cases() -> dict:
     results = {}
     for name, argv in CASES.items():
         out, err = io.StringIO(), io.StringIO()
-        # Entering catch_warnings resets the once-per-location registry.
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         results[name] = render(argv, code, err.getvalue(), out.getvalue())
     return results
 
 
 def run_child() -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = str(SRC)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, __file__, "--json"],
         cwd=GOLDEN, env=env, capture_output=True, timeout=300,

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import gc
 import math
 import struct
 import sys
+import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,7 +25,7 @@ from melgauge.config import (
     mspec_size,
 )
 from melgauge.dsp import AudioBuffer, PowerSpectrogram, frame_count, stft_power
-from melgauge.exceptions import DegenerateFilterbankError, GridWarning, MspecFormatError
+from melgauge.exceptions import DegenerateFilterbankError, MspecFormatError
 from melgauge.mel import (
     MelFilterbank,
     MelSpectrogram,
@@ -160,10 +163,8 @@ def test_filterbank_first_center_frequency():
 
 def test_filterbank_degenerate_grid_raises():
     # at 12 kHz the 512-point bin grid first leaves a filter empty at 233 mels
-    with pytest.warns(GridWarning):
-        config = MelConfig(12000, 256)
     with pytest.raises(DegenerateFilterbankError):
-        mel_filterbank(config)
+        mel_filterbank(MelConfig(12000, 256))
 
 
 # ------------------------------------------------------------ compressions
@@ -346,20 +347,24 @@ def test_threads_sharing_the_slot_get_their_own_spectra(rng):
 
 
 def test_filterbank_built_once_per_key_and_read_only(monkeypatch, rng):
+    # Count builds behind an empty cache of our own: mel_filterbank and
+    # mel_spectrogram share it, one bank per (rate, mels) for all 44 cells.
     built = []
+    build = mel._filterbank.__wrapped__
 
-    def counting(config):
-        built.append(config.n_mels)
-        return mel_filterbank(config)
+    def counting(sample_rate, n_mels):
+        built.append(n_mels)
+        return build(sample_rate, n_mels)
 
-    monkeypatch.setattr(mel, "mel_filterbank", counting)
-    monkeypatch.setattr(mel, "_filterbanks", {})
+    monkeypatch.setattr(mel, "_filterbank", functools.cache(counting))
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
-    for config in enumerate_grid():
-        if config.sample_rate == 12000:
-            mel_spectrogram(audio, config)
+    configs = [config for config in enumerate_grid() if config.sample_rate == 12000]
+    for config in configs:
+        mel_spectrogram(audio, config)
+        assert mel_filterbank(config) is mel_filterbank(MelConfig(12000, config.n_mels))
     assert sorted(built) == [8, 16, 24, 32, 48, 96, 128]
-    for fb in mel._filterbanks.values():
+    for config in configs:
+        fb = mel_filterbank(config)
         with pytest.raises(ValueError, match="read-only"):
             fb.weights[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -421,17 +426,13 @@ def test_config_defaults_and_hop():
     assert config.config_id == "16000Hz-48mel-x4-dB"
 
 
-def test_offgrid_config_warns_on_grid_silent(recwarn):
-    import warnings
-
-    with pytest.warns(GridWarning):
-        MelConfig(22050, 96)
-    with pytest.warns(GridWarning):
-        MelConfig(12000, 8, 2)
+def test_configs_build_silently_on_and_off_grid():
+    # Whether a cell is on the grid is a query (is_grid_config); building
+    # one, on the grid or off it, warns of nothing.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        MelConfig(12000, 96, 10)
-        MelConfig(16000, 8, 1)
+        for args in ((22050, 96), (12000, 8, 2), (12000, 96, 10), (16000, 8, 1)):
+            MelConfig(*args)
 
 
 def test_is_grid_config():
@@ -677,7 +678,6 @@ def test_write_mspec_refuses_values_without_the_configs_mel_rows(tmp_path, shape
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::melgauge.exceptions.GridWarning")
 @pytest.mark.parametrize(
     "sample_rate, n_mels, hop_multiplier, value",
     [
@@ -726,6 +726,37 @@ def test_mspec_payload_size_checked_before_reading(tmp_path, n_mels, frames, pay
         tracemalloc.stop()
     assert str(path) in str(info.value)
     assert peak < 1 << 20
+
+
+def test_concurrent_reads_leave_warning_filters_alone(tmp_path):
+    # warnings.filters is one list per process: a read that swapped it for
+    # its own, even briefly, would hide another thread's warnings, and two
+    # interleaved swaps could leave an "ignore" entry behind for good.
+    paths = []
+    for config in (MelConfig(12000, 96), MelConfig(22050, 64, 3)):  # on and off the grid
+        path = tmp_path / f"{config.config_id}.mspec"
+        write_mspec(path, MelSpectrogram(values=np.zeros((config.n_mels, 2)), config=config))
+        paths.append(path)
+    filters = list(warnings.filters)
+    changed = []
+    start = threading.Barrier(8)
+
+    def read(path):
+        start.wait(timeout=60)
+        for _ in range(1000):
+            read_mspec(path)
+            if warnings.filters != filters:
+                changed.append(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(read, paths * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert changed == []
+    assert warnings.filters == filters
 
 
 @settings(max_examples=60, deadline=None)
