@@ -36,7 +36,7 @@ from .config import (
     enumerate_grid,
     mspec_size,
 )
-from .dsp import AudioBuffer, PowerSpectrogram, stft_power
+from .dsp import AudioBuffer, stft_power
 from .exceptions import DegenerateFilterbankError, MspecFormatError
 
 __all__ = [
@@ -61,6 +61,9 @@ DB_FLOOR_EPS = 1e-10
 
 # log compression is ln(1 + LOG_COMPRESSION_GAIN * x).
 LOG_COMPRESSION_GAIN = 10000.0
+
+# Filters per block; _mel_product sums each block over the bins spanning its weights.
+_BLOCK_FILTERS = 16
 
 # Slaney mel scale: linear below 1000 Hz (200/3 Hz per mel), logarithmic
 # above, with 27 mels spanning each factor of 6.4 in frequency.
@@ -118,11 +121,11 @@ def mel_filterbank(config: MelConfig) -> MelFilterbank:
     on first use, held for the life of the process and shared by every
     caller, so its arrays are read-only.
     """
-    return _filterbank(config.sample_rate, config.n_mels)
+    return _filterbank(config.sample_rate, config.n_mels)[0]
 
 
 @functools.cache  # two threads may both build one bank; either result is the same
-def _filterbank(sample_rate: int, n_mels: int) -> MelFilterbank:
+def _filterbank(sample_rate: int, n_mels: int) -> tuple[MelFilterbank, tuple]:
     config = MelConfig(sample_rate, n_mels)
     mel_points = np.linspace(
         hz_to_mel_slaney(config.fmin), hz_to_mel_slaney(config.fmax), config.n_mels + 2
@@ -145,10 +148,13 @@ def _filterbank(sample_rate: int, n_mels: int) -> MelFilterbank:
             f"filter {first} (center {float(hz_points[first + 1]):.1f} Hz) has no "
             f"support on the {config.frame_size}-point bin grid; reduce n_mels"
         )
+    rows = [slice(r, min(r + _BLOCK_FILTERS, n_mels)) for r in range(0, n_mels, _BLOCK_FILTERS)]
+    support = [np.flatnonzero(weights[r].any(axis=0)) for r in rows]
+    blocks = tuple((r, slice(s[0], s[-1] + 1)) for r, s in zip(rows, support))
     center_freqs = hz_points[1:-1].copy()
     weights.flags.writeable = False
     center_freqs.flags.writeable = False
-    return MelFilterbank(weights=weights, center_freqs=center_freqs)
+    return MelFilterbank(weights=weights, center_freqs=center_freqs), blocks
 
 
 def compress_db(power, out=None):
@@ -177,27 +183,37 @@ def compress_log(power, out=None):
     return float(out) if np.isscalar(power) else out
 
 
-# The last spectrum computed, keyed by its AudioBuffer while that lives.
-_spectra: weakref.WeakKeyDictionary[AudioBuffer, PowerSpectrogram] = weakref.WeakKeyDictionary()
+def _mel_product(config: MelConfig, bins: np.ndarray) -> np.ndarray:
+    """mel_filterbank(config).weights @ bins as a new array, each block over its own bins."""
+    fb, blocks = _filterbank(config.sample_rate, config.n_mels)
+    product = np.empty((config.n_mels, bins.shape[1]))
+    for rows, cols in blocks:
+        np.matmul(fb.weights[rows, cols], bins[cols], out=product[rows])
+    return product
 
 
-def _power_bins(audio: AudioBuffer, hop: int) -> np.ndarray:
-    """stft_power(audio, hop).bins, sliced from the held spectrum if it serves.
+# The latest buffer's (spectrum, mel count, product hop, product), swapped as one tuple.
+_held: weakref.WeakKeyDictionary[AudioBuffer, tuple] = weakref.WeakKeyDictionary()
 
-    Frame t at hop h*k is frame t*k at hop h, so a held spectrum at hop h
-    serves every multiple of h without a transform. A miss runs
-    stft_power at the requested hop, never a finer one, and the result
-    replaces the held spectrum.
+
+def _mel_power(audio: AudioBuffer, config: MelConfig) -> np.ndarray:
+    """_mel_product(config, stft_power(audio, config.hop).bins), sliced from what is held.
+
+    Frame t at hop h*k is frame t*k at hop h: a held product serves its mel count, and a held
+    spectrum every mel count, at each multiple of its hop. A miss transforms at the asked hop.
     """
-    held = _spectra.get(audio)
-    if held is not None and hop % held.hop == 0:
-        return held.bins[:, :: hop // held.hop]
-    # Let the held spectrum go first, so that two are never held at once.
-    del held
-    _spectra.clear()
-    spectrum = stft_power(audio, hop)
-    _spectra[audio] = spectrum
-    return spectrum.bins
+    spectrum, n_mels, hop, product = _held.get(audio, (None,) * 4)
+    if n_mels == config.n_mels and config.hop % hop == 0:
+        return product[:, :: config.hop // hop]
+    # Let the held entry go first, so that two products or spectra are never held at once.
+    product = None
+    _held.clear()
+    if spectrum is None or config.hop % spectrum.hop:
+        spectrum = None
+        spectrum = stft_power(audio, config.hop)
+    product = _mel_product(config, spectrum.bins[:, :: config.hop // spectrum.hop])
+    _held[audio] = (spectrum, config.n_mels, config.hop, product)
+    return product
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,21 +239,20 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     is not. Framing is center-reflect on the config.hop grid, so n
     samples give frame_count(n, config.hop) frames.
 
-    Repeated calls on one buffer share work: the spectrum of the latest
-    buffer is held while that buffer lives and sliced for any hop that is
-    a multiple of its own, and each filterbank is built once per process
-    (mel_filterbank). The output is the same as computing both afresh.
+    Repeated calls on one buffer share work: its spectrum and latest mel
+    product are held while it lives and sliced for hop multiples, and each
+    bank is built once (mel_filterbank) and summed over nonzero bins only.
+    Float64 values can differ from a fresh weights @ bins in the last bits
+    (the same non-negative terms, grouped differently); container bytes do not.
     """
     if audio.sample_rate != config.sample_rate:
         raise ValueError(
             f"audio rate {audio.sample_rate} != config rate {config.sample_rate}; "
             "resample before extraction"
         )
-    fb = _filterbank(config.sample_rate, config.n_mels)
-    power = fb.weights @ _power_bins(audio, config.hop)
     compress = compress_db if config.compression == "dB" else compress_log
-    # the product is a fresh array, so it is compressed over itself
-    return MelSpectrogram(values=compress(power, out=power), config=config)
+    # the product may be held, so it is compressed into a new array
+    return MelSpectrogram(values=compress(_mel_power(audio, config)), config=config)
 
 
 # Field values of the .mspec header (its layout is config._MSPEC_HEADER).

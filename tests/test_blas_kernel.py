@@ -5,8 +5,9 @@ values under them change with the kernel numpy's OpenBLAS picks for the
 CPU, and the float32 cast is what absorbs that. This reruns the byte
 checks of tests/test_golden.py and tests/test_grid_bytes.py in a child
 interpreter under OPENBLAS_CORETYPE=Prescott, and checks in that child
-that the kernel really changed and that one cell's float64 mel product
-differs from this process's, so the rerun cannot pass vacuously.
+that the kernel really changed and that one cell's float64 mel product,
+computed by the banded product the containers come from, differs from
+this process's, so the rerun cannot pass vacuously.
 
 Unverified: MKL, Accelerate and non-x86 BLAS builds.
 """
@@ -43,13 +44,13 @@ def openblas_corename() -> str | None:
 
 
 def cell_product_sha256() -> str:
-    """sha256 of the float64 mel product of the 16 kHz, 96-mel, hop-256 cell."""
+    """sha256 of the float64 banded mel product of the 16 kHz, 96-mel, hop-256 cell."""
+    from melgauge import mel
     from melgauge.config import MelConfig
     from melgauge.dsp import stft_power
-    from melgauge.mel import mel_filterbank
     from test_grid_bytes import grid_clip
 
-    product = mel_filterbank(MelConfig(16000, 96)).weights @ stft_power(grid_clip(16000), 256).bins
+    product = mel._mel_product(MelConfig(16000, 96), stft_power(grid_clip(16000), 256).bins)
     return hashlib.sha256(product.tobytes()).hexdigest()
 
 

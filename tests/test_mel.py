@@ -217,10 +217,20 @@ def test_mel_spectrogram_tone_row(rng):
     assert int(np.argmax(spec.values.mean(axis=1))) == expected_row
 
 
+def _mel(audio, config, hop):
+    """mel_spectrogram's values when its product was computed at hop and sliced to config.hop."""
+    product = mel._mel_product(config, stft_power(audio, hop).bins)[:, :: config.hop // hop]
+    return compress_db(product) if config.compression == "dB" else compress_log(product)
+
+
 def _fresh_mel(audio, config):
-    """mel_spectrogram's values computed with no cache: one STFT, one filterbank."""
-    power = mel_filterbank(config).weights @ stft_power(audio, config.hop).bins
-    return compress_db(power) if config.compression == "dB" else compress_log(power)
+    """A fresh per-config computation, with nothing held: one STFT and one product at config.hop."""
+    return _mel(audio, config, config.hop)
+
+
+def _container_bytes(values):
+    """The float32 payload write_mspec stores for values."""
+    return np.ascontiguousarray(values, dtype="<f4").tobytes()
 
 
 @pytest.mark.parametrize("compression", ["dB", "log"])
@@ -228,7 +238,8 @@ def test_mel_spectrogram_bytes_match_public_compression(rng, compression):
     audio = AudioBuffer(rng.uniform(-1.0, 1.0, 12000), 12000)
     config = MelConfig(12000, 48, 2, compression)
     got = mel_spectrogram(audio, config).values
-    assert got.tobytes() == _fresh_mel(audio, config).tobytes()
+    assert got.tobytes() == _mel(audio, config, 512).tobytes()
+    assert _container_bytes(got) == _container_bytes(_fresh_mel(audio, config))
 
 
 def test_public_compressions_return_new_arrays(rng):
@@ -265,16 +276,21 @@ def test_hop_multiples_of_one_buffer_share_one_stft(rng, counted_stfts):
     audio = AudioBuffer(rng.standard_normal(24000), 12000)
     for config in enumerate_grid():
         if config.sample_rate == 12000:
-            assert np.array_equal(mel_spectrogram(audio, config).values, _fresh_mel(audio, config))
+            # each mel count comes at x1 first; its later hops slice that product
+            got = mel_spectrogram(audio, config).values
+            assert np.array_equal(got, _mel(audio, config, 256))
+            assert _container_bytes(got) == _container_bytes(_fresh_mel(audio, config))
     assert counted_stfts == [256]
 
 
 def test_spectrum_is_never_computed_finer_than_asked(rng, counted_stfts):
     audio = AudioBuffer(rng.standard_normal(24000), 12000)
-    for hop_multiplier in (10, 5, 1, 2, 3):
+    # 5 is not a multiple of 10 and 1 not of 5; 2 and 3 slice the hop-256 product
+    for hop_multiplier, transformed in ((10, 10), (5, 5), (1, 1), (2, 1), (3, 1)):
         config = MelConfig(12000, 96, hop_multiplier)
-        assert np.array_equal(mel_spectrogram(audio, config).values, _fresh_mel(audio, config))
-    # 5 is not a multiple of 10 and 1 not of 5; 2 and 3 slice the hop-256 one
+        got = mel_spectrogram(audio, config).values
+        assert np.array_equal(got, _mel(audio, config, 256 * transformed))
+        assert _container_bytes(got) == _container_bytes(_fresh_mel(audio, config))
     assert counted_stfts == [2560, 1280, 256]
 
 
@@ -283,7 +299,9 @@ def test_other_buffer_misses_the_held_spectrum(rng, counted_stfts):
     second = AudioBuffer(first.samples * 0.5, 12000)
     config = MelConfig(12000, 48)
     mel_spectrogram(first, config)
-    assert np.array_equal(mel_spectrogram(second, config).values, _fresh_mel(second, config))
+    got = mel_spectrogram(second, config).values
+    assert np.array_equal(got, _mel(second, config, 256))
+    assert _container_bytes(got) == _container_bytes(_fresh_mel(second, config))
     assert counted_stfts == [256, 256]
 
 
@@ -293,7 +311,7 @@ def test_held_spectrum_is_let_go_before_a_miss_is_computed(rng, monkeypatch):
 
     def observing(audio, hop):
         alive = [ref for ref in computed if ref() is not None]
-        held_during_stft.append((len(mel._spectra), len(alive)))
+        held_during_stft.append((len(mel._held), len(alive)))
         spectrum = stft_power(audio, hop)
         computed.append(weakref.ref(spectrum))
         return spectrum
@@ -307,20 +325,55 @@ def test_held_spectrum_is_let_go_before_a_miss_is_computed(rng, monkeypatch):
     assert held_during_stft == [(0, 0), (0, 0), (0, 0)]
 
 
+def test_held_product_is_let_go_when_another_mel_count_is_computed(rng, monkeypatch):
+    # one product is held at a time: the 128-mel one is gone before, and
+    # after, the 96-mel product of the same buffer is computed
+    alive_during_product = []
+    computed = []
+    product_of = mel._mel_product
+
+    def observing(config, bins):
+        alive_during_product.append([ref() is not None for ref in computed])
+        product = product_of(config, bins)
+        computed.append(weakref.ref(product))
+        return product
+
+    monkeypatch.setattr(mel, "_mel_product", observing)
+    audio = AudioBuffer(rng.standard_normal(12000), 12000)
+    for n_mels, hop_multiplier in ((128, 1), (128, 2), (96, 1), (96, 4)):
+        mel_spectrogram(audio, MelConfig(12000, n_mels, hop_multiplier))
+    assert alive_during_product == [[], [False]]
+    assert [ref() is not None for ref in computed] == [False, True]
+    assert len(mel._held) == 1
+
+
 def test_held_spectrum_is_dropped_with_its_buffer(rng, counted_stfts):
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
     samples = audio.samples
     mel_spectrogram(audio, MelConfig(12000, 48))
-    assert len(mel._spectra) == 1
+    assert len(mel._held) == 1
     del audio
     gc.collect()
-    assert len(mel._spectra) == 0
+    assert len(mel._held) == 0
     # a new buffer of the same samples may reuse the freed id; it is still
     # a different key, so it runs its own transform
     again = AudioBuffer(samples, 12000)
     config = MelConfig(12000, 48)
-    assert np.array_equal(mel_spectrogram(again, config).values, _fresh_mel(again, config))
+    got = mel_spectrogram(again, config).values
+    assert np.array_equal(got, _mel(again, config, 256))
+    assert _container_bytes(got) == _container_bytes(_fresh_mel(again, config))
     assert counted_stfts == [256, 256]
+
+
+def _switching_often(run, jobs):
+    """pool.map(run, jobs) over 8 threads that switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            return list(pool.map(run, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_threads_sharing_the_slot_get_their_own_spectra(rng):
@@ -332,18 +385,84 @@ def test_threads_sharing_the_slot_get_their_own_spectra(rng):
     def run(audio):
         return [mel_spectrogram(audio, config).values for config in configs]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(run, buffers * 6, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
+    results = _switching_often(run, buffers * 6)
     assert len(results) == 24
     for i, values in enumerate(results):
         audio = buffers[i % len(buffers)]
         for config, got in zip(configs, values):
-            assert np.array_equal(got, _fresh_mel(audio, config))
+            # another thread may have replaced the held entry, so the
+            # product came from any hop that divides this one
+            hops = [256 * k for k in (1, 2, 3, 4, 5, 10) if config.hop % (256 * k) == 0]
+            assert any(np.array_equal(got, _mel(audio, config, hop)) for hop in hops)
+            assert _container_bytes(got) == _container_bytes(_fresh_mel(audio, config))
+
+
+def test_threads_sharing_one_buffer_never_read_a_torn_entry(rng):
+    # eight threads alternate mel counts and hops on one buffer, so the
+    # held (mel count, product) is replaced under them all the time
+    audio = AudioBuffer(rng.standard_normal(12000), 12000)
+    configs = [MelConfig(12000, n_mels, k) for k in (1, 2, 4) for n_mels in (128, 48, 96)]
+
+    def run(shift):
+        order = configs[shift:] + configs[:shift]
+        return [(config, mel_spectrogram(audio, config).values) for config in order * 3]
+
+    results = _switching_often(run, range(8))
+    expected = {config: _container_bytes(_fresh_mel(audio, config)) for config in configs}
+    for cells in results:
+        for config, got in cells:
+            assert got.shape[0] == config.n_mels
+            assert _container_bytes(got) == expected[config]
+
+
+def test_grid_cells_of_one_clip_run_two_stfts_and_28_products(rng, counted_stfts, monkeypatch):
+    products = []
+    product_of = mel._mel_product
+
+    def counting(config, bins):
+        products.append((config.sample_rate, config.n_mels))
+        return product_of(config, bins)
+
+    monkeypatch.setattr(mel, "_mel_product", counting)
+    clips = {rate: AudioBuffer(rng.standard_normal(rate), rate) for rate in (12000, 16000)}
+    for config in enumerate_grid():
+        mel_spectrogram(clips[config.sample_rate], config)
+    assert counted_stfts == [256, 256]
+    # the grid runs each (rate, compression) through the mel counts at x1 first
+    assert len(products) == 28
+    assert sorted(set(products)) == sorted(
+        {(config.sample_rate, config.n_mels) for config in enumerate_grid()}
+    )
+
+
+FILTER_BANKS = [(rate, n_mels) for rate in (12000, 16000)
+                for n_mels in (128, 96, 48, 32, 24, 16, 8)] + [(22050, 64), (8000, 40)]
+
+
+@pytest.mark.parametrize("sample_rate, n_mels", FILTER_BANKS)
+def test_filter_blocks_partition_the_rows_and_cover_every_weight(sample_rate, n_mels):
+    fb, blocks = mel._filterbank(sample_rate, n_mels)
+    rows = np.arange(n_mels)
+    assert np.array_equal(np.concatenate([rows[r] for r, _ in blocks]), rows)
+    for r, cols in blocks:
+        block = fb.weights[r]
+        nonzero = np.flatnonzero(block.any(axis=0))
+        # the columns span exactly the block's nonzero weights
+        assert (cols.start, cols.stop) == (nonzero[0], nonzero[-1] + 1)
+
+
+@pytest.mark.parametrize("sample_rate, n_mels", FILTER_BANKS)
+def test_banded_product_equals_the_dense_one(rng, sample_rate, n_mels):
+    # Both sum the same non-negative terms over at most 257 bins (the banded
+    # one leaves out only exact zeros); only BLAS's grouping of the sums
+    # differs, which moves each value by a few ulps at most.
+    bins = stft_power(AudioBuffer(rng.standard_normal(sample_rate), sample_rate), 256).bins
+    config = MelConfig(sample_rate, n_mels)
+    dense = mel_filterbank(config).weights @ bins
+    np.testing.assert_allclose(mel._mel_product(config, bins), dense, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(
+        mel._mel_product(config, bins[:, ::3]), dense[:, ::3], rtol=1e-13, atol=0.0
+    )
 
 
 def test_filterbank_built_once_per_key_and_read_only(monkeypatch, rng):
