@@ -22,7 +22,9 @@ needs only the configuration layer. cost and report load the cost
 models, report also the reference table, and adapt the pooling plans;
 none of them imports numpy. extract loads the signal chain and evaluate
 the metrics, and neither loads the cost models or the reference table.
-json and csv load only for the output format that uses them.
+json and csv load only for the output format that uses them. Only the
+five names in _LAZY, which the benchmark tracer rebinds, are looked up
+as this module's attributes.
 
 extract hands its inputs to a ThreadPoolExecutor of min(inputs, usable
 cores) worker threads, one input each at a time, and prints each input's
@@ -59,16 +61,13 @@ from .exceptions import MelGaugeError, OutputPathError, UnsupportedConfigError
 
 __all__ = ["main"]
 
-# Names this module offers as attributes, and the submodule each comes
-# from. Each is imported on first use (PEP 562), so a command loads only
-# the layers it runs: the signal chain and metrics load numpy, and the cost
-# models and reference table are of no use to extract or evaluate. The
-# commands look them up as this module's attributes, as a caller may
-# rebind them.
-_LAZY = {"mel_spectrogram": "mel", "write_mspec": "mel",
-         "load_tag_table": "metrics", "macro_summary": "metrics",
-         "grid_cost_sweep": "arch", "vgg_pooling_plan": "arch",
-         "published_for_config": "reference", "SOURCE_LABEL": "reference"}
+# The names perfbench/tracer.py rebinds on this module, and the submodule
+# each comes from; the tracer is this seam's only user. Each is imported on
+# first use (PEP 562), so a command still loads only the layers it runs, and
+# the commands look them up as this module's attributes so that a rebinding
+# is seen.
+_LAZY = {"mel_spectrogram": "mel", "write_mspec": "mel", "macro_summary": "metrics",
+         "grid_cost_sweep": "arch", "published_for_config": "reference"}
 
 
 def __getattr__(name):
@@ -132,8 +131,14 @@ def _emit(rows: list[dict], columns, args) -> None:
 
 # ------------------------------------------------------------- selection
 
-def _warn_off_grid(config: MelConfig) -> None:
-    """Print the `warning: ...` line that names an off-grid config on stderr."""
+def _check_grid(config: MelConfig, strict: bool) -> None:
+    """Refuse an off-grid config when strict; else name it in one `warning: ...` line on stderr."""
+    if is_grid_config(config.sample_rate, config.n_mels, config.hop_multiplier):
+        return
+    if strict:
+        raise UnsupportedConfigError(
+            f"--grid-strict: {config.config_id} is outside the benchmark grid"
+        )
     print(
         f"warning: config ({config.sample_rate} Hz, {config.n_mels} mels, "
         f"x{config.hop_multiplier}, frame {config.frame_size}, "
@@ -162,12 +167,7 @@ def _select_configs(args) -> list[MelConfig]:
             hops = sorted(set(args.hop_mult)) if args.hop_mult else grid_hops(mel_count)
             for hop in hops:
                 cells = [MelConfig(rate, mel_count, hop, comp) for comp in comps]
-                if not is_grid_config(rate, mel_count, hop):
-                    if args.grid_strict:
-                        raise UnsupportedConfigError(
-                            f"--grid-strict: {cells[0].config_id} is outside the benchmark grid"
-                        )
-                    _warn_off_grid(cells[0])
+                _check_grid(cells[0], args.grid_strict)
                 configs += cells
     # Compressions were taken in flag order, so the strict check names the
     # first offender as the command line gives it; sort only afterwards.
@@ -253,8 +253,7 @@ _REPORT_COLUMNS = _REPORT_COST_KEYS + (
 def cmd_report(args) -> int:
     configs = _select_configs(args)
     cost_rows = _cost_rows(args.arch, configs)
-    cli = sys.modules[__name__]
-    published_for_config, source_label = cli.published_for_config, cli.SOURCE_LABEL
+    published_for_config = sys.modules[__name__].published_for_config
     rows = []
     for config, cost in zip(configs, cost_rows):
         # Every report row carries "error", None included, so it sits
@@ -269,7 +268,7 @@ def cmd_report(args) -> int:
             row["dataset"] = result.dataset
             row["published_roc"] = result.roc_auc
             row["published_pr"] = result.pr_auc
-            row["published_source"] = source_label
+            row["published_source"] = result.source
             rows.append(row)
     _emit(rows, _REPORT_COLUMNS, args)
     return 0 if all("error" not in cost for cost in cost_rows) else 1
@@ -296,7 +295,7 @@ def cmd_grid(args) -> int:
 # ----------------------------------------------------------------- adapt
 
 def cmd_adapt(args) -> int:
-    vgg_pooling_plan = sys.modules[__name__].vgg_pooling_plan
+    from .arch import vgg_pooling_plan
     try:
         plan = vgg_pooling_plan(args.mels, args.hop_mult, args.sample_rate)
     except UnsupportedConfigError as exc:
@@ -321,10 +320,10 @@ def cmd_adapt(args) -> int:
 # -------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
-    cli = sys.modules[__name__]
+    from .metrics import load_tag_table
     try:
-        table = cli.load_tag_table(args.predictions, args.labels)
-        summary = cli.macro_summary(table)
+        table = load_tag_table(args.predictions, args.labels)
+        summary = sys.modules[__name__].macro_summary(table)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -437,8 +436,7 @@ def cmd_extract(args) -> int:
         hop_multiplier=args.hop_mult,
         compression=args.compression,
     )
-    if not is_grid_config(config.sample_rate, config.n_mels, config.hop_multiplier):
-        _warn_off_grid(config)
+    _check_grid(config, strict=False)
     out_dir = Path(args.out_dir)
     out_paths = _output_paths(args.inputs, out_dir)
     # BLAS reads these once, when numpy loads; a value already set wins.

@@ -157,28 +157,22 @@ def _filterbank(sample_rate: int, n_mels: int) -> tuple[MelFilterbank, tuple]:
     return MelFilterbank(weights=weights, center_freqs=center_freqs), blocks
 
 
-def compress_db(power, out=None):
-    """Power to decibels: 10*log10(max(x, 1e-10)), elementwise.
-
-    The result is a new array, or out (a float64 array, power itself
-    allowed) when given.
-    """
+def compress_db(power):
+    """Power to decibels: 10*log10(max(x, 1e-10)), elementwise, as a new array."""
     x = np.asarray(power, dtype=np.float64)
-    out = np.maximum(x, DB_FLOOR_EPS, out=np.empty(x.shape) if out is None else out)
+    out = np.maximum(x, DB_FLOOR_EPS, out=np.empty(x.shape))
     np.log10(out, out=out)
     out *= 10.0
     return float(out) if np.isscalar(power) else out
 
 
-def compress_log(power, out=None):
-    """Logarithmic compression: ln(1 + 10000 * x), elementwise.
+def compress_log(power):
+    """Logarithmic compression: ln(1 + 10000 * x), elementwise, as a new array.
 
-    Zero maps to zero exactly, and the map is strictly increasing. The
-    result is a new array, or out (a float64 array, power itself allowed)
-    when given.
+    Zero maps to zero exactly, and the map is strictly increasing.
     """
     x = np.asarray(power, dtype=np.float64)
-    out = np.multiply(x, LOG_COMPRESSION_GAIN, out=np.empty(x.shape) if out is None else out)
+    out = np.multiply(x, LOG_COMPRESSION_GAIN, out=np.empty(x.shape))
     np.log1p(out, out=out)
     return float(out) if np.isscalar(power) else out
 
@@ -242,8 +236,10 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     Repeated calls on one buffer share work: its spectrum and latest mel
     product are held while it lives and sliced for hop multiples, and each
     bank is built once (mel_filterbank) and summed over nonzero bins only.
-    Float64 values can differ from a fresh weights @ bins in the last bits
-    (the same non-negative terms, grouped differently); container bytes do not.
+    Float64 values can differ in the last bits from a fresh weights @ bins
+    (the same terms, grouped by block), and also with the cells run earlier on
+    the buffer, as BLAS picks its path by the width of the held product that a
+    cell is sliced from. Container (float32) bytes depend on neither.
     """
     if audio.sample_rate != config.sample_rate:
         raise ValueError(
@@ -251,7 +247,6 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
             "resample before extraction"
         )
     compress = compress_db if config.compression == "dB" else compress_log
-    # the product may be held, so it is compressed into a new array
     return MelSpectrogram(values=compress(_mel_power(audio, config)), config=config)
 
 

@@ -163,6 +163,28 @@ def test_every_grid_cell_keeps_its_bytes(tmp_path):
     assert grid_digests(tmp_path) == DIGESTS
 
 
+def test_every_grid_cell_gives_its_fresh_buffer_bytes_in_grid_order():
+    # In grid order most cells are sliced from a product held at a finer hop,
+    # whose float64 values can differ in the last bits from the product at
+    # the cell's own hop; a fresh buffer holds nothing. The float32 payload
+    # must not tell the two apart.
+    clips = {rate: grid_clip(rate) for rate in (12000, 16000)}
+
+    def payload_digest(audio, config):
+        values = mel_spectrogram(audio, config).values
+        return hashlib.sha256(np.ascontiguousarray(values, dtype="<f4")).hexdigest()
+
+    grid = enumerate_grid()
+    in_order = [payload_digest(clips[config.sample_rate], config) for config in grid]
+    fresh = [
+        payload_digest(AudioBuffer(clips[config.sample_rate].samples, config.sample_rate), config)
+        for config in grid
+    ]
+    mismatched = [config.config_id for config, a, b in zip(grid, in_order, fresh) if a != b]
+    assert len(grid) == 88
+    assert mismatched == []
+
+
 def test_every_grid_cell_agrees_with_the_independent_reference(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     reference = importlib.import_module("reference")
