@@ -30,11 +30,11 @@ extract hands its inputs to a ThreadPoolExecutor of min(inputs, usable
 cores) worker threads, one input each at a time, and prints each input's
 line in input order once it and every input before it are done. After
 an unexpected error no queued input starts. Unless numpy is already
-loaded, it first defaults OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to 1, so BLAS starts no threads of its own beside the
-workers. On glibc it also fixes mallopt's mmap and trim thresholds, so
-the heap keeps each input's pages for the next; a MALLOC_* or
-GLIBC_TUNABLES setting of the user's wins.
+loaded, it (as evaluate, which makes no BLAS call) first defaults
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, so BLAS
+starts no threads of its own. On glibc it also fixes mallopt's mmap and
+trim thresholds, so the heap keeps each input's pages for the next; a
+MALLOC_* or GLIBC_TUNABLES setting of the user's wins.
 """
 
 from __future__ import annotations
@@ -317,9 +317,20 @@ def cmd_adapt(args) -> int:
     return 0
 
 
+def _pin_blas_threads() -> None:
+    """Default the BLAS thread counts below to 1 before numpy loads (BLAS reads
+    them then); a value already set wins. OpenBLAS, OpenMP and MKL run each
+    matrix product on one thread per core: beside extract's workers those
+    contend, and evaluate has no product, so they would only spin."""
+    if "numpy" not in sys.modules:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
+
+
 # -------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
+    _pin_blas_threads()
     from .metrics import load_tag_table
     try:
         table = load_tag_table(args.predictions, args.labels)
@@ -391,10 +402,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# OpenBLAS, OpenMP and MKL run each matrix product on a pool of one thread
-# per core; beside one extract worker per core those threads only contend.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # mallopt settings: (parameter from glibc's malloc.h, value, the environment
 # variable and the GLIBC_TUNABLES name by which a user sets it first).
 _MALLOC_SETTINGS = (
@@ -439,10 +446,7 @@ def cmd_extract(args) -> int:
     _check_grid(config, strict=False)
     out_dir = Path(args.out_dir)
     out_paths = _output_paths(args.inputs, out_dir)
-    # BLAS reads these once, when numpy loads; a value already set wins.
-    if "numpy" not in sys.modules:
-        for name in _BLAS_THREAD_VARIABLES:
-            os.environ.setdefault(name, "1")
+    _pin_blas_threads()
     _keep_malloc_pages()
     from . import dsp, mel  # numpy loads here, not in a worker
     from concurrent.futures import ThreadPoolExecutor  # only extract loads it

@@ -6,8 +6,8 @@ handling exact. PR AUC is average precision: the mean of precision taken
 at the rank of each positive, with ties broken by stable input order.
 Macro summaries skip tags that lack both classes rather than scoring
 them 0.5, and report which tags were skipped; roc_auc, pr_auc and the
-macro summary share one ranking. Tag CSV bodies are parsed in one pass,
-and walked line by line only to name a file's first bad line.
+macro summary share one ranking. Tag CSV bodies go through numpy's reader,
+or line by line through float() where it refuses one, to the same values and errors.
 
 The significance test is Welch's (unequal-variance) two-sided t-test
 with Welch-Satterthwaite degrees of freedom. Two degenerate-variance
@@ -116,17 +116,21 @@ def _tie_bounds(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ranked_rows(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Each row's Mann-Whitney U and average precision, from one stable sort.
+    """Each row's Mann-Whitney U and average precision, from one sort of all rows.
 
     scores and 0/1 labels are (rows x items), and every row holds at least
     one positive. U is the positives' average-rank sum minus its minimum;
-    rank sums add half-integers, exact in any order. Each AP is the mean of
-    the precisions at one row's positives in stable descending-score order.
+    rank sums add half-integers, exact in any order. Each AP is the mean of the
+    precisions at one row's positives by descending score, ties in input order.
     """
     n_pos = labels.sum(axis=1)
     n_items = scores.shape[1]
-    order = np.argsort(scores, axis=1, kind="stable")
+    order = np.argsort(scores, axis=1)
     starts, ends = _tie_bounds(np.take_along_axis(scores, order, axis=1))
+    # Sorting the unique key (tie group start, input position) undoes any shuffle within a group.
+    key = starts * n_items + order
+    key.sort(axis=1)
+    order = key % n_items
     hits = np.take_along_axis(labels, order, axis=1) == 1
     rank_sums = np.where(hits, (starts + ends + 1) / 2.0, 0.0).sum(axis=1)
     # Descending order with ties in input order: reverse the tie groups of
@@ -173,9 +177,9 @@ def pr_auc(scores, labels) -> float:
     """Average precision: mean precision at the rank of each positive.
 
     Items are ranked by descending score; equal scores keep their input
-    order (stable sort), which makes tie behavior reproducible but input
-    -order dependent. Raises UndefinedMetricError with zero positives and
-    ValueError for a score that is not finite.
+    order, as a stable sort leaves them, which makes tie behavior
+    reproducible but input-order dependent. Raises UndefinedMetricError
+    with zero positives and ValueError for a score that is not finite.
     """
     scores, labels = _ranking_inputs(scores, labels)
     n_pos = int(labels.sum())
@@ -191,7 +195,7 @@ def macro_summary(table: TagTable) -> MetricSummary:
     A tag is evaluable when both classes appear in its labels; the rest
     are skipped and listed. Raises EmptySummaryError when nothing is
     evaluable. roc_auc, pr_auc and this function share one ranking, so a
-    tag's floats here are exactly theirs. One stable sort ranks all tags.
+    tag's floats here are exactly theirs. One sort ranks all tags.
     """
     labels = table.labels.T
     positives = labels.sum(axis=1)
@@ -287,17 +291,18 @@ def read_tag_csv(path, labels: bool = False) -> tuple[tuple[str, ...], np.ndarra
     if repeated is not None:
         raise SchemaError(f"{path}: header repeats tag {repeated!r}")
     lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rows = [line for line in lines if line.replace(",", "").strip()]
-    # A quoted cell never parses, nor does an empty body's one empty cell,
-    # so both fail this pass and are walked line by line.
-    if [row.count(",") for row in rows] == [len(names) - 1] * len(rows):
+    # numpy's reader takes a subset of what float() takes, with its values,
+    # once \x1c-\x1f (which it strips as spaces) are ruled out. It refuses
+    # blank lines, so lines of spaces, tabs and commas are dropped first; other
+    # blank lines, quotes, underscores and non-ASCII digits are walked below.
+    rows = [line for line in lines if line.strip(" \t,")]
+    if rows and not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
         try:
-            values = np.array(",".join(rows).split(","), dtype=np.float64)
+            values = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
         except ValueError:
             pass
         else:
-            values = values.reshape(len(rows), len(names))
-            if _in_domain(values, labels).all():
+            if values.shape == (len(rows), len(names)) and _in_domain(values, labels).all():
                 return names, values
     return names, _read_rows_in_order(path, names, lines, number + 1, labels)
 

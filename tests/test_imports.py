@@ -150,9 +150,8 @@ def test_each_command_loads_only_the_layers_it_runs(command, loaded, absent, tmp
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@pytest.mark.parametrize(
+# (prelude, OPENBLAS_NUM_THREADS set by the user, the three values after the command)
+BLAS_PIN_CASES = pytest.mark.parametrize(
     "prelude, preset, expected",
     [
         ("", None, "1 1 1"),
@@ -161,23 +160,41 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
     ],
     ids=["pinned", "user-value-wins", "numpy-already-loaded"],
 )
-def test_extract_pins_blas_threads_only_before_numpy_loads(prelude, preset, expected, tmp_path):
-    write_tone(tmp_path / "tone.wav", 16000)
+
+
+def blas_variables_after(argv, prelude, preset, cwd):
+    """The exit code and the BLAS thread variables, as one line, after a
+    fresh interpreter runs prelude and then melgauge.cli.main(argv)."""
     env = {name: value for name, value in os.environ.items()
            if name not in BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = str(ROOT / "src")
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     code = (
-        f"{prelude}import os, melgauge.cli; "
-        "code = melgauge.cli.main(['extract', '--sample-rate', '16000', '--mels', '96', "
-        "'--out-dir', 'feats', 'tone.wav']); "
+        f"{prelude}import os, melgauge.cli; code = melgauge.cli.main({argv!r}); "
         f"print(code, *(os.environ.get(name) for name in {BLAS_THREAD_VARIABLES!r}))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
+    return proc.stdout.splitlines()[-1]
+
+
+@BLAS_PIN_CASES
+def test_extract_pins_blas_threads_only_before_numpy_loads(prelude, preset, expected, tmp_path):
+    write_tone(tmp_path / "tone.wav", 16000)
+    argv = ["extract", "--sample-rate", "16000", "--mels", "96", "--out-dir", "feats", "tone.wav"]
+    assert blas_variables_after(argv, prelude, preset, tmp_path) == f"0 {expected}"
+
+
+@BLAS_PIN_CASES
+def test_evaluate_pins_blas_threads_only_before_numpy_loads(prelude, preset, expected, tmp_path):
+    # evaluate makes no BLAS call, so BLAS threads of its own would only spin.
+    argv = ["evaluate", str(GOLDEN / "pred.csv"), str(GOLDEN / "labels.csv"), "--format", "csv",
+            "--out", "eval.csv"]
+    assert blas_variables_after(argv, prelude, preset, tmp_path) == f"0 {expected}"
+    golden = (GOLDEN / "evaluate-csv.txt").read_text(encoding="utf-8")
+    assert (tmp_path / "eval.csv").read_text(encoding="utf-8") == golden.split("--- stdout\n")[1]
 
 
 def on_glibc():

@@ -3,6 +3,7 @@
 import csv
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from melgauge.exceptions import (
     SchemaError,
     UndefinedMetricError,
 )
+from melgauge import metrics
 from melgauge.metrics import (
     TagTable,
+    _ranked_rows,
+    _tie_bounds,
     load_tag_table,
     macro_summary,
     pr_auc,
@@ -341,6 +345,46 @@ def test_macro_summary_equals_per_tag_metrics_exactly(rng, n_items, n_tags, leve
         assert summary.macro_pr == float(np.mean(per_pr))
 
 
+def stable_sort_ranked_rows(scores, labels):
+    """_ranked_rows as it was with one stable argsort, kept as the reference."""
+    n_pos = labels.sum(axis=1)
+    n_items = scores.shape[1]
+    order = np.argsort(scores, axis=1, kind="stable")
+    starts, ends = _tie_bounds(np.take_along_axis(scores, order, axis=1))
+    hits = np.take_along_axis(labels, order, axis=1) == 1
+    rank_sums = np.where(hits, (starts + ends + 1) / 2.0, 0.0).sum(axis=1)
+    ranked = np.empty_like(hits)
+    np.put_along_axis(ranked, n_items - ends + np.arange(n_items) - starts, hits, axis=1)
+    at_hits = (np.cumsum(ranked, axis=1) / np.arange(1, n_items + 1))[ranked]
+    run_ends = np.cumsum(n_pos)
+    aps = [float(at_hits[end - count : end].mean()) for end, count in zip(run_ends, n_pos)]
+    return rank_sums - n_pos * (n_pos + 1) / 2.0, aps
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_items, levels",
+    [(6, 1, 2), (5, 40, 1), (9, 17, 3), (12, 64, 4), (10, 300, 2), (8, 300, 7), (3, 2000, 3)],
+    ids=["one-item", "all-equal", "17-items", "64-items", "300-items-2-levels",
+         "300-items-7-levels", "2000-items"],
+)
+def test_ranking_equals_the_stable_sort_bit_for_bit(rng, n_rows, n_items, levels):
+    shuffled = False
+    for _ in range(30):
+        scores = rng.integers(0, levels, size=(n_rows, n_items)) / max(levels - 1, 1)
+        # 0.0 and -0.0 compare equal, so both signs share one tie group
+        scores[(scores == 0.0) & (rng.random(scores.shape) < 0.5)] = -0.0
+        labels = (rng.random(scores.shape) < rng.uniform(0.05, 0.9, (n_rows, 1))).astype(np.int64)
+        labels[np.arange(n_rows), rng.integers(0, n_items, n_rows)] = 1
+        u, aps = _ranked_rows(scores, labels)
+        want_u, want_aps = stable_sort_ranked_rows(scores, labels)
+        assert u.tobytes() == want_u.tobytes()
+        assert np.array(aps).tobytes() == np.array(want_aps).tobytes()
+        shuffled |= not np.array_equal(np.argsort(scores, axis=1),
+                                       np.argsort(scores, axis=1, kind="stable"))
+    # Past a few items the default sort does reorder ties, so the tie key is what is tested.
+    assert shuffled or n_items < 64
+
+
 class TestTagTable:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -525,6 +569,118 @@ def test_reader_equals_csv_module_reader(tmp_path, text, labels):
     path = tmp_path / "tags.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(read_tag_csv, path, labels) == _outcome(csv_module_read_tag_csv, path, labels)
+
+
+def line_walk_read_tag_csv(path, labels=False):
+    """read_tag_csv with numpy's reader refusing every body, so each body
+    line goes through float() cell by cell, as every body that failed the
+    one-pass parse did before numpy's reader was used."""
+    with mock.patch.object(metrics.np, "loadtxt", side_effect=ValueError("refused")):
+        return read_tag_csv(path, labels=labels)
+
+
+# Cells numpy's reader refuses or reads differently from float() are
+# common here: digit underscores, non-ASCII digits, "#", quotes, hex, and
+# padding that float() strips (\x85, \u2028, \xa0) or refuses (\x1c-\x1f,
+# a BOM, a zero-width space).
+PLAIN_NUMBERS = ["0", "1", "0.0", "1.0", "0.5", "-0", "-0.0", "+1", "1.", ".25", "1e-1", "1E0",
+                 "2", "-0.1", "nan", "inf", "1e400", "00.5", "1e-400"]
+ODD_NUMBERS = ["0_5", "1_0", "0.2_5", "\u0660.\u0665", "\u0661", "\uff10.\uff15", "#", "0.5#",
+               "#0.5", '"0.5"', '"1"', "0x1p-1", "0x0", "1d0", "", "0\x855", "0\u20285", "0,5"]
+PLAIN_PADS = ["", "", "", " ", "  ", "\t"]
+# What numpy's reader strips around a number; float() refuses \x1c-\x1f.
+SPACE_PADS = ["\x0b", "\x0c", "\xa0", "\u3000", "\x85", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f"]
+ODD_PADS = [*SPACE_PADS, "\ufeff", "\u200b"]
+WALKED_BLANK_LINES = ["", " ", ",", " , ,", "\t", "\x1c", "\x85", ",\u2028,", "\xa0"]
+
+
+@st.composite
+def numeric_tag_csv_text(draw):
+    """A tag CSV whose body is plain numbers (numpy's reader takes it), or
+    numbers padded with what numpy's reader strips as spaces, or a mix
+    with what it refuses."""
+    names = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+    mode = draw(st.sampled_from(["plain", "padded", "odd"]))
+    plain = mode == "plain"
+    number = st.one_of(st.sampled_from(PLAIN_NUMBERS), st.floats(0.0, 1.0).map(repr),
+                       st.floats(0.0, 1.0).map(lambda x: f"{x:.6f}"))
+    pad = st.sampled_from(PLAIN_PADS)
+    if mode == "padded":
+        pad = st.one_of(pad, st.sampled_from(SPACE_PADS))
+    elif mode == "odd":
+        number = st.one_of(number, st.sampled_from(ODD_NUMBERS))
+        pad = st.one_of(pad, st.sampled_from(ODD_PADS))
+    cell = st.tuples(pad, number, pad).map("".join)
+    row = st.one_of(
+        st.lists(cell, min_size=len(names), max_size=len(names)),
+        st.lists(cell, min_size=len(names), max_size=len(names)),
+        st.lists(cell, min_size=1, max_size=len(names) + 1),
+    ).map(",".join)
+    blank = st.sampled_from(BLANK_LINES if plain else WALKED_BLANK_LINES)
+    lines = [",".join(names), *draw(st.lists(st.one_of(row, row, row, blank), max_size=8))]
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    text = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return "\ufeff" + text if draw(st.booleans()) else text
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=numeric_tag_csv_text(), labels=st.booleans())
+def test_reader_equals_float_per_cell_walk(tmp_path, text, labels):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's reader warns on an empty body
+        assert _outcome(read_tag_csv, path, labels) == _outcome(line_walk_read_tag_csv, path, labels)
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_ascii_separators_around_a_number_are_refused_as_float_refuses_them(tmp_path, separator):
+    # numpy's reader strips these as spaces; float() does not.
+    path = tmp_path / "pred.csv"
+    path.write_text(f"a,b\n0.5{separator},0.25\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_tag_csv(path)
+    assert str(err.value) == (
+        f"{path}: line 2: could not convert string to float: {'0.5' + separator!r}")
+
+
+@pytest.mark.parametrize(
+    "body, labels",
+    [
+        ("0.25,1\r\n\r\n\r.5 ,\t1.\r\n \t\r\n-0,1e-1\r\n", False),
+        ("0,1\n1,0\n\n1.0, 0.0\n , \n-0,1e0\n,", True),
+        ("0.5,0.5\n", False),
+    ],
+    ids=["scores", "labels", "one-row"],
+)
+def test_plain_numeric_bodies_never_reach_the_line_walk(tmp_path, monkeypatch, body, labels):
+    # Numbers padded with spaces or tabs, lines of only spaces, tabs and
+    # commas, and any line ending: a silent fall back to the slower walk
+    # would fail here.
+    path = tmp_path / "tags.csv"
+    path.write_text("a,b\n" + body, encoding="utf-8")
+    want = [[float(cell) for cell in line.split(",")]
+            for line in body.splitlines() if line.replace(",", "").strip()]
+    monkeypatch.setattr(metrics, "_read_rows_in_order", mock.Mock(side_effect=AssertionError))
+    names, values = read_tag_csv(path, labels=labels)
+    assert names == ("a", "b")
+    assert values.tobytes() == np.array(want).tobytes()
+
+
+def test_bench_sized_pair_never_reaches_the_line_walk(tmp_path, monkeypatch, rng):
+    scores = rng.integers(0, 10001, (4332, 50)) / 10000
+    labels = (rng.random((4332, 50)) < 0.2).astype(np.int64)
+    header = ",".join(f"tag{j:02d}" for j in range(50)) + "\n"
+    (tmp_path / "pred.csv").write_text(
+        header + "".join(",".join(f"{v:.4f}" for v in row) + "\n" for row in scores))
+    (tmp_path / "labels.csv").write_text(
+        header + "".join(",".join(map(str, row)) + "\n" for row in labels))
+    monkeypatch.setattr(metrics, "_read_rows_in_order", mock.Mock(side_effect=AssertionError))
+    table = load_tag_table(tmp_path / "pred.csv", tmp_path / "labels.csv")
+    assert table.scores.tobytes() == scores.tobytes()
+    assert table.labels.tobytes() == labels.tobytes()
 
 
 class TestTagIO:
