@@ -8,10 +8,10 @@ Subcommands:
   grid      list the selected configurations
   report    cost table joined with the published-results reference table
 
-All report output is deterministic: rows are sorted by (sample_rate,
-n_mels descending, hop ascending, compression). Floats in cost, report,
-grid and evaluate's CSV are formatted at 6 significant digits; evaluate's
-JSON keeps every float's full repr.
+All report output is deterministic: rows come in enumerate_grid()'s
+order (sample_rate, n_mels descending, hop ascending, compression).
+Floats in cost, report, grid and evaluate's CSV are formatted at 6
+significant digits; evaluate's JSON keeps every float's full repr.
 Selectors default to the benchmark grid; off-grid values are honored
 with one `warning: ...` line on stderr per off-grid (rate, mels, hop)
 cell unless --grid-strict is given, and extract warns the same way for
@@ -153,10 +153,10 @@ def _select_configs(args) -> list[MelConfig]:
     Defaults reproduce the benchmark grid (grid_hops per mel count, which
     gives off-grid mel counts the base hop). Explicit flag values are
     honored verbatim, which can leave the grid; each off-grid (rate, mels,
-    hop) cell warns once, and with --grid-strict the first off-grid cell
-    is an error instead, before anything is printed. Repeated values count
-    once. Report order is sample rate, mel count descending, hop,
-    compression.
+    hop) cell warns once, and with --grid-strict the first off-grid cell,
+    with its first compression as given, is an error instead, before
+    anything is printed. Repeated values count once. Report order is
+    enumerate_grid()'s: rate, mel count descending, hop, compression.
     """
     rates = args.sample_rate or GRID_SAMPLE_RATES
     mels = args.mels or GRID_MELS
@@ -168,10 +168,7 @@ def _select_configs(args) -> list[MelConfig]:
             for hop in hops:
                 cells = [MelConfig(rate, mel_count, hop, comp) for comp in comps]
                 _check_grid(cells[0], args.grid_strict)
-                configs += cells
-    # Compressions were taken in flag order, so the strict check names the
-    # first offender as the command line gives it; sort only afterwards.
-    configs.sort(key=lambda c: (c.sample_rate, -c.n_mels, c.hop_multiplier, c.compression))
+                configs += sorted(cells, key=lambda c: c.compression)
     return configs
 
 

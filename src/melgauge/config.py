@@ -106,18 +106,18 @@ class MelConfig:
 
 
 def enumerate_grid() -> list[MelConfig]:
-    """All 88 benchmark configurations, deterministically ordered.
+    """All 88 benchmark configurations, in the order every CLI report lists.
 
-    Order: sample rate (12 then 16 kHz), compression (log then dB), mel
-    count descending, hop ascending. Mel counts below 48 exist at the
-    base hop only (grid_hops).
+    Order: sample rate (12 then 16 kHz), mel count descending, hop
+    ascending, compression (dB then log), so a cell's two compressions
+    share one mel product. Mel counts below 48 exist at the base hop only.
     """
     return [
         MelConfig(sample_rate, n_mels, hop_multiplier, compression)
         for sample_rate in GRID_SAMPLE_RATES
-        for compression in COMPRESSIONS
         for n_mels in GRID_MELS
         for hop_multiplier in grid_hops(n_mels)
+        for compression in sorted(COMPRESSIONS)
     ]
 
 

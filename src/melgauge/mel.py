@@ -16,6 +16,7 @@ values. See write_mspec / read_mspec.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import struct
@@ -297,16 +298,17 @@ def write_mspec(path, mel: MelSpectrogram) -> int:
         ) from None
     payload = np.ascontiguousarray(mel.values, dtype="<f4")
     path = Path(path)
-    # Named per process and thread, so concurrent writers of one path
-    # never share a temporary file.
-    tmp_path = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    # One name per process and thread, so concurrent writers never share it,
+    # and of a fixed length, so any target name that fits can be written.
+    tmp_path = path.with_name(f".mspec.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp_path, "wb") as fh:
             fh.write(header)
             fh.write(payload)
         os.replace(tmp_path, path)
     except BaseException as exc:
-        tmp_path.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the write's error is the one to report
+            tmp_path.unlink()
         if isinstance(exc, OSError) and exc.strerror:  # name path, not the temporary file
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

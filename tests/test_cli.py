@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from melgauge.cli import main
+from melgauge.config import enumerate_grid
 from melgauge.mel import read_mspec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -201,6 +202,12 @@ class TestGrid:
         main(["grid", "--format", "json", "--mels", "8"])
         rows = json.loads(capsys.readouterr().out)
         assert {r["n_mels"] for r in rows} == {8}
+
+    def test_default_order_is_enumerate_grid_order(self, capsys):
+        # one cell order for the library and every report
+        assert main(["grid", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["config_id"] for r in rows] == [c.config_id for c in enumerate_grid()]
 
 
 # -------------------------------------------------------------- evaluate

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from melgauge.config import COMPRESSIONS
 from melgauge.dsp import AudioBuffer, resample_rational
 from melgauge.mel import enumerate_grid, mel_spectrogram, write_mspec
 
@@ -183,6 +184,28 @@ def test_every_grid_cell_gives_its_fresh_buffer_bytes_in_grid_order():
     mismatched = [config.config_id for config, a, b in zip(grid, in_order, fresh) if a != b]
     assert len(grid) == 88
     assert mismatched == []
+
+
+def test_grid_order_leaves_every_float64_value_as_the_compression_outer_order():
+    # Grid order shares each mel product between a cell's two compressions,
+    # a compression-outer order computes it once per compression; the order
+    # must not move a single float64 bit of any cell.
+    grid = enumerate_grid()
+    compression_outer = sorted(
+        grid, key=lambda config: (config.sample_rate, COMPRESSIONS.index(config.compression))
+    )
+    assert compression_outer != grid
+
+    def float64_digests(order):
+        clips = {rate: grid_clip(rate) for rate in (12000, 16000)}
+        return {
+            config: hashlib.sha256(
+                mel_spectrogram(clips[config.sample_rate], config).values.tobytes()
+            ).hexdigest()
+            for config in order
+        }
+
+    assert float64_digests(grid) == float64_digests(compression_outer)
 
 
 def test_every_grid_cell_agrees_with_the_independent_reference(tmp_path, monkeypatch):

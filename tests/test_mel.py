@@ -407,7 +407,7 @@ def test_threads_sharing_one_buffer_never_read_a_torn_entry(rng):
             assert _container_bytes(got) == expected[config]
 
 
-def test_grid_cells_of_one_clip_run_two_stfts_and_28_products(rng, counted_stfts, monkeypatch):
+def test_grid_cells_of_one_clip_run_two_stfts_and_14_products(rng, counted_stfts, monkeypatch):
     products = []
     product_of = mel._mel_product
 
@@ -420,9 +420,10 @@ def test_grid_cells_of_one_clip_run_two_stfts_and_28_products(rng, counted_stfts
     for config in enumerate_grid():
         mel_spectrogram(clips[config.sample_rate], config)
     assert counted_stfts == [256, 256]
-    # the grid runs each (rate, compression) through the mel counts at x1 first
-    assert len(products) == 28
-    assert sorted(set(products)) == sorted(
+    # the grid runs each rate through the mel counts at x1 first, and the
+    # compressions of a cell are adjacent: one product per (rate, mels)
+    assert len(products) == 14
+    assert sorted(products) == sorted(
         {(config.sample_rate, config.n_mels) for config in enumerate_grid()}
     )
 
@@ -807,15 +808,38 @@ def test_write_mspec_refuses_header_overflow(tmp_path, sample_rate, n_mels, hop_
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_mspec_failure_names_the_path_not_the_temporary_file(tmp_path):
+@pytest.mark.parametrize(
+    "taken, name, error, strerror",
+    [
+        ("taken.mspec", "taken.mspec", IsADirectoryError, "Is a directory"),  # the rename fails
+        ("file", "file/taken.mspec", NotADirectoryError, "Not a directory"),  # the open fails
+    ],
+    ids=["target-is-a-directory", "parent-is-a-file"],
+)
+def test_write_mspec_failure_names_the_path_not_the_temporary_file(
+    tmp_path, taken, name, error, strerror
+):
     spec = MelSpectrogram(values=np.zeros((8, 1)), config=MelConfig(12000, 8))
-    path = tmp_path / "taken.mspec"
-    path.mkdir()  # the rename onto path fails
-    with pytest.raises(IsADirectoryError) as info:
+    if taken == name:
+        (tmp_path / taken).mkdir()
+    else:
+        (tmp_path / taken).write_bytes(b"")
+    path = tmp_path / name
+    with pytest.raises(error) as info:
         write_mspec(path, spec)
     assert info.value.filename == str(path) and info.value.filename2 is None
-    assert str(info.value) == f"[Errno {info.value.errno}] Is a directory: '{path}'"
-    assert [p.name for p in tmp_path.iterdir()] == ["taken.mspec"]
+    assert str(info.value) == f"[Errno {info.value.errno}] {strerror}: '{path}'"
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+
+def test_write_mspec_writes_any_name_that_fits(tmp_path):
+    # the temporary name does not grow with the target's
+    spec = MelSpectrogram(values=np.zeros((8, 1)), config=MelConfig(12000, 8))
+    path = tmp_path / ("a" * 244 + ".mspec")
+    assert len(path.name) == 250
+    assert write_mspec(path, spec) == mspec_size(8, 1)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert read_mspec(path).values.tobytes() == spec.values.astype("<f4").tobytes()
 
 
 @pytest.mark.parametrize(
