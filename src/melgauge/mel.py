@@ -187,8 +187,8 @@ def _mel_product(config: MelConfig, bins: np.ndarray) -> np.ndarray:
     return product
 
 
-# The latest buffer's (spectrum, mel count, product hop, product), swapped as one tuple.
-_held: weakref.WeakKeyDictionary[AudioBuffer, tuple] = weakref.WeakKeyDictionary()
+# One map per thread, of its latest buffer to (spectrum, mel count, product hop, product).
+_per_thread = threading.local()
 
 
 def _mel_power(audio: AudioBuffer, config: MelConfig) -> np.ndarray:
@@ -197,17 +197,20 @@ def _mel_power(audio: AudioBuffer, config: MelConfig) -> np.ndarray:
     Frame t at hop h*k is frame t*k at hop h: a held product serves its mel count, and a held
     spectrum every mel count, at each multiple of its hop. A miss transforms at the asked hop.
     """
-    spectrum, n_mels, hop, product = _held.get(audio, (None,) * 4)
+    held = getattr(_per_thread, "held", None)
+    if held is None:  # the thread's first call; the map ends with the thread
+        held = _per_thread.held = weakref.WeakKeyDictionary()
+    spectrum, n_mels, hop, product = held.get(audio, (None,) * 4)
     if n_mels == config.n_mels and config.hop % hop == 0:
         return product[:, :: config.hop // hop]
     # Let the held entry go first, so that two products or spectra are never held at once.
     product = None
-    _held.clear()
+    held.clear()
     if spectrum is None or config.hop % spectrum.hop:
         spectrum = None
         spectrum = stft_power(audio, config.hop)
     product = _mel_product(config, spectrum.bins[:, :: config.hop // spectrum.hop])
-    _held[audio] = (spectrum, config.n_mels, config.hop, product)
+    held[audio] = (spectrum, config.n_mels, config.hop, product)
     return product
 
 
@@ -234,13 +237,13 @@ def mel_spectrogram(audio: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     is not. Framing is center-reflect on the config.hop grid, so n
     samples give frame_count(n, config.hop) frames.
 
-    Repeated calls on one buffer share work: its spectrum and latest mel
-    product are held while it lives and sliced for hop multiples, and each
-    bank is built once (mel_filterbank) and summed over nonzero bins only.
-    Float64 values can differ in the last bits from a fresh weights @ bins
-    (the same terms, grouped by block), and also with the cells run earlier on
-    the buffer, as BLAS picks its path by the width of the held product that a
-    cell is sliced from. Container (float32) bytes depend on neither.
+    Repeated calls share work: each thread holds the spectrum of the last buffer it
+    transformed, while that buffer lives, and that thread's last mel product, sliced for
+    hop multiples, so at most one of each per live thread; each bank is built once
+    (mel_filterbank) and summed over nonzero bins only. Float64 values can differ in the
+    last bits from a fresh weights @ bins (the same terms grouped by block), and with the
+    cells the same thread ran earlier on the buffer (BLAS picks its path by the held
+    product's width), not with other threads. Container (float32) bytes depend on neither.
     """
     if audio.sample_rate != config.sample_rate:
         raise ValueError(

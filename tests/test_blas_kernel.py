@@ -3,16 +3,20 @@
 The goldens and the grid digests pin float32 containers. The float64
 values under them change with the kernel numpy's OpenBLAS picks for the
 CPU, and with the SIMD paths numpy's own ufuncs (log10, log1p) dispatch
-to; the float32 cast is what absorbs both. This reruns the byte checks of
-tests/test_golden.py and tests/test_grid_bytes.py in one child interpreter
-under OPENBLAS_CORETYPE=Prescott and, with NPY_DISABLE_CPU_FEATURES, with
-every dispatch group above X86_V3 that this CPU enables switched off, so
-the child runs the paths of a CPU without AVX-512. So that the rerun
-cannot pass vacuously, the child reports its kernel and the float64
-hashes of one cell's banded mel product and of compress_db over a fixed
-array, and each axis that was changed must have changed its value. An
-axis this host cannot change is left as it is; with neither, the test
-skips.
+to; the float32 cast is what absorbs both. The metrics rank with numpy's
+default argsort, whose order of ties also changes with the dispatch, and
+a tie key makes the result equal the stable sort's. This reruns the byte
+checks of tests/test_golden.py and tests/test_grid_bytes.py, and the
+ranking's bit-for-bit test in tests/test_metrics.py, in one child
+interpreter under OPENBLAS_CORETYPE=Prescott and, with
+NPY_DISABLE_CPU_FEATURES, with every dispatch group above X86_V3 that
+this CPU enables switched off, so the child runs the paths of a CPU
+without AVX-512. So that the rerun cannot pass vacuously, the child
+reports its kernel, the float64 hashes of one cell's banded mel product
+and of compress_db over a fixed array, and the hash of the default
+argsort of a fixed tie-heavy array, and each axis that was changed must
+have changed its values. An axis this host cannot change is left as it
+is; with neither, the test skips.
 
 Unverified: MKL, Accelerate and non-x86 builds, and numpy builds that do
 not dispatch float64 log10 or log1p at all.
@@ -69,6 +73,12 @@ def compress_sha256() -> str:
     return hashlib.sha256(compress_db(power)).hexdigest()
 
 
+def tie_argsort_sha256() -> str:
+    """sha256 of numpy's default argsort of a fixed tie-heavy 50 x 4,332 array."""
+    scores = np.random.default_rng(0).integers(0, 8, (50, 4332)) / 7.0
+    return hashlib.sha256(np.argsort(scores, axis=1)).hexdigest()
+
+
 def cell_product_sha256() -> str:
     """sha256 of the float64 banded mel product of the 16 kHz, 96-mel, hop-256 cell."""
     from melgauge import mel
@@ -103,15 +113,17 @@ def test_pinned_bytes_hold_under_a_second_kernel(tmp_path):
         assert child["product"] != cell_product_sha256()
     if disabled:
         assert child["compress"] != compress_sha256()
+        assert child["argsort"] != tie_argsort_sha256()
 
 
 if __name__ == "__main__":
     code = pytest.main([
         "-q", "-p", "no:cacheprovider",
         str(TESTS / "test_golden.py"), str(TESTS / "test_grid_bytes.py"),
+        str(TESTS / "test_metrics.py") + "::test_ranking_equals_the_stable_sort_bit_for_bit",
     ])
     Path(sys.argv[1]).write_text(json.dumps({
         "corename": openblas_corename(), "product": cell_product_sha256(),
-        "compress": compress_sha256(),
+        "compress": compress_sha256(), "argsort": tie_argsort_sha256(),
     }))
     sys.exit(code)

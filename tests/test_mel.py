@@ -303,7 +303,7 @@ def test_held_spectrum_is_let_go_before_a_miss_is_computed(rng, monkeypatch):
 
     def observing(audio, hop):
         alive = [ref for ref in computed if ref() is not None]
-        held_during_stft.append((len(mel._held), len(alive)))
+        held_during_stft.append((len(mel._per_thread.held), len(alive)))
         spectrum = stft_power(audio, hop)
         computed.append(weakref.ref(spectrum))
         return spectrum
@@ -336,17 +336,17 @@ def test_held_product_is_let_go_when_another_mel_count_is_computed(rng, monkeypa
         mel_spectrogram(audio, MelConfig(12000, n_mels, hop_multiplier))
     assert alive_during_product == [[], [False]]
     assert [ref() is not None for ref in computed] == [False, True]
-    assert len(mel._held) == 1
+    assert len(mel._per_thread.held) == 1
 
 
 def test_held_spectrum_is_dropped_with_its_buffer(rng, counted_stfts):
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
     samples = audio.samples
     mel_spectrogram(audio, MelConfig(12000, 48))
-    assert len(mel._held) == 1
+    assert len(mel._per_thread.held) == 1
     del audio
     gc.collect()
-    assert len(mel._held) == 0
+    assert len(mel._per_thread.held) == 0
     # a new buffer of the same samples may reuse the freed id; it is still
     # a different key, so it runs its own transform
     again = AudioBuffer(samples, 12000)
@@ -368,10 +368,10 @@ def _switching_often(run, jobs):
         sys.setswitchinterval(interval)
 
 
-def test_threads_sharing_the_slot_get_their_own_spectra(rng):
+def test_threads_on_their_own_buffers_get_their_own_spectra(rng):
     # more threads than cores, switching often, each on its own buffer: a
-    # spectrum served to the wrong buffer or a torn slot entry shows here
-    buffers = [AudioBuffer(rng.standard_normal(12000 + 997 * i), 12000) for i in range(4)]
+    # spectrum served to the wrong buffer or another thread's product shows here
+    buffers = [AudioBuffer(rng.standard_normal(120000 + 997 * i), 12000) for i in range(4)]
     configs = [MelConfig(12000, 96, k) for k in (1, 2, 3, 4, 5, 10)]
 
     def run(audio):
@@ -382,16 +382,14 @@ def test_threads_sharing_the_slot_get_their_own_spectra(rng):
     for i, values in enumerate(results):
         audio = buffers[i % len(buffers)]
         for config, got in zip(configs, values):
-            # another thread may have replaced the held entry, so the
-            # product came from any hop that divides this one
-            hops = [256 * k for k in (1, 2, 3, 4, 5, 10) if config.hop % (256 * k) == 0]
-            assert any(np.array_equal(got, _mel(audio, config, hop)) for hop in hops)
+            # each job starts at x1, so its thread slices every later hop from that product
+            assert got.tobytes() == _mel(audio, config, 256).tobytes()
             assert _container_bytes(got) == _container_bytes(_fresh_mel(audio, config))
 
 
 def test_threads_sharing_one_buffer_never_read_a_torn_entry(rng):
-    # eight threads alternate mel counts and hops on one buffer, so the
-    # held (mel count, product) is replaced under them all the time
+    # eight threads alternate mel counts and hops on one buffer, which is a key
+    # in every thread's map while each replaces its own (mel count, product)
     audio = AudioBuffer(rng.standard_normal(12000), 12000)
     configs = [MelConfig(12000, n_mels, k) for k in (1, 2, 4) for n_mels in (128, 48, 96)]
 
@@ -405,6 +403,62 @@ def test_threads_sharing_one_buffer_never_read_a_torn_entry(rng):
         for config, got in cells:
             assert got.shape[0] == config.n_mels
             assert _container_bytes(got) == expected[config]
+
+
+def _on_a_fresh_thread(run, *args):
+    """run(*args) on a thread that has held nothing yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(run, *args).result(timeout=120)
+
+
+def test_threads_taking_turns_keep_their_own_entries(rng, counted_stfts):
+    # two threads alternate cell by cell over the 44 cells of their own clip:
+    # neither evicts the other's spectrum or changes its float64 values
+    clips = [AudioBuffer(rng.standard_normal(48000 + 997 * i), 16000) for i in range(2)]
+    configs = [config for config in enumerate_grid() if config.sample_rate == 16000]
+
+    def cells(audio):
+        return [mel_spectrogram(audio, config).values.tobytes() for config in configs]
+
+    alone = [_on_a_fresh_thread(cells, audio) for audio in clips]
+    counted_stfts.clear()
+    turn = [0]
+    turns = threading.Condition()
+
+    def take_turns(i):
+        got = []
+        for config in configs:
+            with turns:
+                # a timed-out wait fails the test instead of hanging it
+                assert turns.wait_for(lambda: turn[0] == i, timeout=30)
+                got.append(mel_spectrogram(clips[i], config).values.tobytes())
+                turn[0] = 1 - i
+                turns.notify_all()
+        return got
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(take_turns, range(2), timeout=120))
+    assert len(counted_stfts) == len(clips)
+    assert results == alone
+
+
+def test_held_entry_ends_with_its_thread(rng, monkeypatch):
+    spectra = []
+
+    def observing(audio, hop):
+        spectrum = stft_power(audio, hop)
+        spectra.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(mel, "stft_power", observing)
+    audio = AudioBuffer(rng.standard_normal(12000), 12000)  # kept alive by this thread
+    thread = threading.Thread(target=mel_spectrogram, args=(audio, MelConfig(12000, 48)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    gc.collect()
+    assert len(spectra) == 1
+    assert spectra[0]() is None
 
 
 def test_grid_cells_of_one_clip_run_two_stfts_and_14_products(rng, counted_stfts, monkeypatch):
